@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Interleaved A/B of perfbench between a base revision and the working tree.
+
+    python3 scripts/perf_ab.py --base HEAD~1 --workload compile --seeds 10 --seconds 3
+
+Run it from the root of a checkout. The base revision is exported with
+`git archive` (the repository's worktrees and index are left alone) into
+<target-dir>/base-<sha>/tree and built there by its own perfbench/run.py
+into <target-dir>/base-<sha>/build; the working tree ("head") builds into
+its usual .bench_build. Runs go in ABBA order, one pair per seed, with the
+same seed on both sides, so slow drift of the host hits both sides alike.
+
+For every metric of the workload's JSON result the report gives each
+side's median and quartiles, the median of the per-seed head/base ratios
+with a bootstrap 90% interval, and on how many pairs head was better
+(direction from BENCHMARK.json; "?" for metrics it does not list). Failed
+operations are reported as fail_frac per side. Stdlib only.
+"""
+
+import argparse
+import io
+import json
+import os
+import random
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BOOTSTRAP_SAMPLES = 2000
+
+
+def git(*args):
+    return subprocess.run(["git", "-C", ROOT, *args], check=True,
+                          capture_output=True).stdout
+
+
+def export_base(rev, target_dir):
+    sha = git("rev-parse", "--verify", rev + "^{commit}").decode().strip()
+    base_dir = os.path.join(target_dir, "base-" + sha[:12])
+    tree = os.path.join(base_dir, "tree")
+    if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
+        shutil.rmtree(tree, ignore_errors=True)
+        os.makedirs(tree)
+        with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as tar:
+            tar.extractall(tree)
+        if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
+            sys.exit(f"perf_ab: {rev} has no perfbench/run.py")
+    return sha, tree, os.path.join(base_dir, "build")
+
+
+def run_once(tree, build_dir, workload, seed, seconds, log):
+    env = dict(os.environ)
+    if build_dir is not None:
+        env["CARGO_TARGET_DIR"] = build_dir
+    else:
+        env.pop("CARGO_TARGET_DIR", None)
+    out = subprocess.run(
+        [sys.executable, os.path.join(tree, "perfbench", "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=log, text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode != 0 or not lines:
+        sys.exit(f"perf_ab: run failed in {tree} (seed {seed}); see {log.name}")
+    result = json.loads(lines[-1])
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    attempted = result.get("attempted", 0)
+    values["fail_frac"] = result.get("failed", 0) / attempted if attempted else 0
+    return values
+
+
+def directions():
+    try:
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+            spec = json.load(f)
+    except (OSError, ValueError):
+        return {}
+    out = {"fail_frac": "lower"}
+    for group in ("end_to_end", "per_layer"):
+        for metric in spec.get(group, []):
+            out[metric["name"]] = metric["better"]
+    return out
+
+
+def median_and_quartiles(values):
+    if len(values) < 2:
+        return f"{values[0]:.4g}"
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def bootstrap_interval(ratios, rng):
+    medians = sorted(
+        statistics.median(rng.choices(ratios, k=len(ratios)))
+        for _ in range(BOOTSTRAP_SAMPLES))
+    return (medians[int(0.05 * BOOTSTRAP_SAMPLES)],
+            medians[int(0.95 * BOOTSTRAP_SAMPLES) - 1])
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare")
+    parser.add_argument("--workload", default="compile")
+    parser.add_argument("--seeds", type=int, default=5)
+    parser.add_argument("--seconds", type=int, default=3)
+    parser.add_argument("--target-dir", default=os.path.join(ROOT, ".bench_ab"))
+    args = parser.parse_args()
+
+    target_dir = os.path.abspath(args.target_dir)
+    sha, base_tree, base_build = export_base(args.base, target_dir)
+    log_path = os.path.join(target_dir, "perf_ab.log")
+    runs = {"base": [], "head": []}
+    with open(log_path, "w") as log:
+        sides = {"base": (base_tree, base_build), "head": (ROOT, None)}
+        for seed in range(1, args.seeds + 1):
+            order = ("base", "head") if seed % 2 else ("head", "base")
+            for side in order:
+                print(f"perf_ab: seed {seed} {side}", file=sys.stderr)
+                runs[side].append(run_once(*sides[side], args.workload, seed,
+                                           args.seconds, log))
+
+    better = directions()
+    rng = random.Random(0)
+    print(f"workload {args.workload}, {args.seeds} seeds x {args.seconds} s, "
+          f"ABBA; base {sha[:12]} vs head (working tree)")
+    print(f"{'metric':<20} {'base median [q1, q3]':>32} "
+          f"{'head median [q1, q3]':>32} {'head/base':>10} "
+          f"{'90% interval':>18} {'head better':>12}")
+    for name in sorted(runs["base"][0]):
+        base = [r[name] for r in runs["base"]]
+        head = [r.get(name, float("nan")) for r in runs["head"]]
+        ratios = [h / b for b, h in zip(base, head) if b != 0]
+        if ratios:
+            lo, hi = bootstrap_interval(ratios, rng)
+            ratio = f"{statistics.median(ratios):.3f}"
+            interval = f"[{lo:.3f}, {hi:.3f}]"
+        else:
+            ratio, interval = "-", "-"
+        direction = better.get(name)
+        if direction is None:
+            wins = "?"
+        else:
+            sign = 1 if direction == "higher" else -1
+            won = sum(1 for b, h in zip(base, head) if sign * (h - b) > 0)
+            wins = f"{won}/{len(base)}"
+        print(f"{name:<20} {median_and_quartiles(base):>32} "
+              f"{median_and_quartiles(head):>32} {ratio:>10} {interval:>18} "
+              f"{wins:>12}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,7 @@
 #include "analysis/cfg.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 
 namespace gallium::analysis {
 
@@ -22,7 +22,6 @@ CfgInfo::CfgInfo(const ir::Function& fn) : fn_(&fn), index_(fn.BuildIndex()) {
   }
   ComputeReachability();
   ComputePostDominators();
-  ComputeControlDependence();
 }
 
 void CfgInfo::ComputeReachability() {
@@ -41,64 +40,44 @@ void CfgInfo::ComputeReachability() {
     }
   }
 
-  // Strict reachability (path length >= 1) via iterated relaxation; CFGs are
-  // small (tens of blocks) so the O(n^3) closure is fine.
-  block_reach_.assign(n, std::vector<bool>(n, false));
+  // Strict reachability (path length >= 1): the closure of the edge relation.
+  block_reach_ = BitMatrix(n);
   for (int b = 0; b < n; ++b) {
-    for (int s : succs_[b]) block_reach_[b][s] = true;
+    for (int s : succs_[b]) block_reach_.Set(b, s);
   }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int a = 0; a < n; ++a) {
-      for (int b = 0; b < n; ++b) {
-        if (!block_reach_[a][b]) continue;
-        for (int c : succs_[b]) {
-          if (!block_reach_[a][c]) {
-            block_reach_[a][c] = true;
-            changed = true;
-          }
-        }
-      }
-    }
-  }
+  block_reach_.TransitiveClosure();
 }
 
 void CfgInfo::ComputePostDominators() {
   const int n = fn_->num_blocks();
   const int exit = n;  // virtual exit node
-  // postdom sets over n+1 nodes, bit i set => node i post-dominates b.
-  std::vector<std::vector<bool>> pdom(n + 1,
-                                      std::vector<bool>(n + 1, true));
-  pdom[exit].assign(n + 1, false);
-  pdom[exit][exit] = true;
-
-  auto exit_succs = [&](int b) {
-    // Blocks whose terminator is kReturn flow to the virtual exit.
-    std::vector<int> out = succs_[b];
-    if (out.empty()) out.push_back(exit);
-    return out;
-  };
+  // Post-dominator sets over n+1 nodes: (b, i) set => i post-dominates b.
+  // Every set starts full except the exit's, which is {exit}.
+  BitMatrix pdom(n + 1);
+  for (int b = 0; b < n; ++b) {
+    for (int i = 0; i <= n; ++i) pdom.Set(b, i);
+  }
+  pdom.Set(exit, exit);
+  const int words = pdom.words_per_row();
 
   bool changed = true;
+  std::vector<uint64_t> next(words);
   while (changed) {
     changed = false;
     for (int b = 0; b < n; ++b) {
       if (!reachable_[b]) continue;
-      std::vector<bool> next(n + 1, true);
-      bool first = true;
-      for (int s : exit_succs(b)) {
-        const std::vector<bool>& ps = pdom[s];
-        if (first) {
-          next = ps;
-          first = false;
-        } else {
-          for (int i = 0; i <= n; ++i) next[i] = next[i] && ps[i];
-        }
+      // Blocks whose terminator is kReturn flow to the virtual exit.
+      const std::vector<int>& succs = succs_[b];
+      const uint64_t* first = pdom.Row(succs.empty() ? exit : succs[0]);
+      next.assign(first, first + words);
+      for (size_t k = 1; k < succs.size(); ++k) {
+        const uint64_t* ps = pdom.Row(succs[k]);
+        for (int w = 0; w < words; ++w) next[w] &= ps[w];
       }
-      next[b] = true;
-      if (next != pdom[b]) {
-        pdom[b] = std::move(next);
+      next[b / 64] |= uint64_t{1} << (b % 64);
+      uint64_t* row = pdom.Row(b);
+      if (!std::equal(next.begin(), next.end(), row)) {
+        std::copy(next.begin(), next.end(), row);
         changed = true;
       }
     }
@@ -109,14 +88,14 @@ void CfgInfo::ComputePostDominators() {
   ipostdom_.assign(n, -1);
   auto count = [&](int b) {
     int c = 0;
-    for (int i = 0; i <= n; ++i) c += pdom[b][i];
+    for (int w = 0; w < words; ++w) c += std::popcount(pdom.Row(b)[w]);
     return c;
   };
   for (int b = 0; b < n; ++b) {
     if (!reachable_[b]) continue;
     const int want = count(b) - 1;
     for (int p = 0; p <= n; ++p) {
-      if (p == b || !pdom[b][p]) continue;
+      if (p == b || !pdom.Test(b, p)) continue;
       const int pc = p == exit ? 1 : count(p);
       if (pc == want) {
         ipostdom_[b] = p == exit ? -1 : p;
@@ -125,9 +104,8 @@ void CfgInfo::ComputePostDominators() {
     }
   }
 
-  // Stash pdom for control-dependence computation through a member-free
-  // trick: recompute there. (Control dependence uses ipostdom_ and pdom; we
-  // keep pdom local by folding the computation here.)
+  // Control dependence: walk the post-dominator tree up from each branch
+  // successor (it needs the pdom sets, so it is computed here).
   control_deps_.assign(n, {});
   for (int a = 0; a < n; ++a) {
     if (!reachable_[a]) continue;
@@ -138,7 +116,7 @@ void CfgInfo::ComputePostDominators() {
       // ipostdom(a); every node on the way is control-dependent on term.
       int cur = b;
       while (cur != -1 && cur != ipostdom_[a]) {
-        if (!pdom[b][cur] && cur != b) break;  // safety: stay on the chain
+        if (!pdom.Test(b, cur) && cur != b) break;  // safety: stay on the chain
         auto& deps = control_deps_[cur];
         if (std::find(deps.begin(), deps.end(), term.id) == deps.end()) {
           deps.push_back(term.id);
@@ -149,25 +127,18 @@ void CfgInfo::ComputePostDominators() {
   }
 }
 
-void CfgInfo::ComputeControlDependence() {
-  // Folded into ComputePostDominators (needs the pdom sets).
-}
-
 bool CfgInfo::CanHappenAfter(ir::InstId later, ir::InstId earlier) const {
   const ir::InstRef ra = index_[earlier];
   const ir::InstRef rb = index_[later];
   if (!ra.valid() || !rb.valid()) return false;
-  if (ra.block == rb.block) {
-    if (rb.index > ra.index) return true;
-    return block_reach_[ra.block][ra.block];  // via a cycle
-  }
-  return block_reach_[ra.block][rb.block];
+  if (ra.block == rb.block && rb.index > ra.index) return true;
+  return block_reach_.Test(ra.block, rb.block);  // same block: via a cycle
 }
 
 bool CfgInfo::InLoop(ir::InstId inst) const {
   const ir::InstRef r = index_[inst];
   if (!r.valid()) return false;
-  return block_reach_[r.block][r.block];
+  return block_reach_.Test(r.block, r.block);
 }
 
 }  // namespace gallium::analysis

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "analysis/bit_matrix.h"
 #include "ir/function.h"
 
 namespace gallium::analysis {
@@ -26,7 +27,7 @@ class CfgInfo {
   // (block-level strict reachability; a block reaches itself only through a
   // cycle).
   bool BlockCanReach(int from, int to) const {
-    return block_reach_[from][to];
+    return block_reach_.Test(from, to);
   }
 
   // The paper's "can happen after" relation at instruction granularity:
@@ -53,14 +54,13 @@ class CfgInfo {
  private:
   void ComputeReachability();
   void ComputePostDominators();
-  void ComputeControlDependence();
 
   const ir::Function* fn_;
   std::vector<ir::InstRef> index_;
   std::vector<std::vector<int>> succs_;
   std::vector<std::vector<int>> preds_;
   std::vector<bool> reachable_;
-  std::vector<std::vector<bool>> block_reach_;  // strict (path length >= 1)
+  BitMatrix block_reach_;  // strict (path length >= 1)
   std::vector<int> ipostdom_;
   std::vector<std::vector<ir::InstId>> control_deps_;
 };

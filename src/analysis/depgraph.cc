@@ -69,7 +69,9 @@ DependencyGraph::DependencyGraph(const ir::Function& fn, const CfgInfo& cfg)
     }
   }
 
-  ComputeClosure();
+  closure_ = BitMatrix(n_);
+  for (const DepEdge& e : edges_) closure_.Set(e.from, e.to);
+  closure_.TransitiveClosure();
   ComputeDistances();
 }
 
@@ -87,50 +89,37 @@ bool DependencyGraph::DependsOn(ir::InstId s2, ir::InstId s1) const {
   return std::find(deps.begin(), deps.end(), s1) != deps.end();
 }
 
-void DependencyGraph::ComputeClosure() {
-  closure_.assign(n_, std::vector<bool>(n_, false));
-  for (const DepEdge& e : edges_) closure_[e.from][e.to] = true;
-  // Floyd-Warshall style boolean closure; n is a few hundred at most.
-  for (int k = 0; k < n_; ++k) {
-    for (int i = 0; i < n_; ++i) {
-      if (!closure_[i][k]) continue;
-      const std::vector<bool>& row_k = closure_[k];
-      std::vector<bool>& row_i = closure_[i];
-      for (int j = 0; j < n_; ++j) {
-        if (row_k[j]) row_i[j] = true;
-      }
-    }
-  }
-}
-
 void DependencyGraph::ComputeDistances() {
+  // Statements in dependency cycles (self-reachable) are pinned at
+  // kUnbounded. The rest form a DAG: one Kahn pass orders it, and longest
+  // chains follow forward (from entry) and backward (to exit) along it.
   dist_entry_.assign(n_, 0);
   dist_exit_.assign(n_, 0);
-  // Longest-path by repeated relaxation, n rounds max; nodes in dependency
-  // cycles (self-reachable) are pinned at kUnbounded.
   for (int s = 0; s < n_; ++s) {
-    if (closure_.empty() ? false : closure_[s][s]) {
-      dist_entry_[s] = kUnbounded;
-      dist_exit_[s] = kUnbounded;
+    if (closure_.Test(s, s)) dist_entry_[s] = dist_exit_[s] = kUnbounded;
+  }
+  auto bounded = [&](ir::InstId s) { return dist_entry_[s] != kUnbounded; };
+  std::vector<int> in_degree(n_, 0);
+  for (const DepEdge& e : edges_) {
+    if (bounded(e.from) && bounded(e.to)) ++in_degree[e.to];
+  }
+  std::vector<ir::InstId> order;
+  for (int s = 0; s < n_; ++s) {
+    if (bounded(s) && in_degree[s] == 0) order.push_back(s);
+  }
+  for (size_t i = 0; i < order.size(); ++i) {
+    const ir::InstId s = order[i];
+    for (ir::InstId t : users_of_[s]) {
+      if (!bounded(t)) continue;
+      dist_entry_[t] = std::max(dist_entry_[t], dist_entry_[s] + 1);
+      if (--in_degree[t] == 0) order.push_back(t);
     }
   }
-  for (int round = 0; round < n_; ++round) {
-    bool changed = false;
-    for (const DepEdge& e : edges_) {
-      if (e.from == e.to) continue;
-      if (dist_entry_[e.from] != kUnbounded &&
-          dist_entry_[e.to] != kUnbounded &&
-          dist_entry_[e.to] < dist_entry_[e.from] + 1) {
-        dist_entry_[e.to] = dist_entry_[e.from] + 1;
-        changed = true;
-      }
-      if (dist_exit_[e.to] != kUnbounded && dist_exit_[e.from] != kUnbounded &&
-          dist_exit_[e.from] < dist_exit_[e.to] + 1) {
-        dist_exit_[e.from] = dist_exit_[e.to] + 1;
-        changed = true;
-      }
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    int& d = dist_exit_[*it];
+    for (ir::InstId t : users_of_[*it]) {
+      if (bounded(t)) d = std::max(d, dist_exit_[t] + 1);
     }
-    if (!changed) break;
   }
 }
 

@@ -12,6 +12,7 @@
 #include <limits>
 #include <vector>
 
+#include "analysis/bit_matrix.h"
 #include "analysis/cfg.h"
 #include "analysis/locations.h"
 #include "ir/function.h"
@@ -35,6 +36,9 @@ class DependencyGraph {
   static constexpr int kUnbounded = std::numeric_limits<int>::max() / 2;
 
   DependencyGraph(const ir::Function& fn, const CfgInfo& cfg);
+  // Builds the CFG facts it needs internally.
+  explicit DependencyGraph(const ir::Function& fn)
+      : DependencyGraph(fn, CfgInfo(fn)) {}
 
   int num_insts() const { return n_; }
   const std::vector<DepEdge>& edges() const { return edges_; }
@@ -51,10 +55,12 @@ class DependencyGraph {
   bool DependsOn(ir::InstId s2, ir::InstId s1) const;  // direct edge
   // s1 ⇝* s2 through at least one edge.
   bool TransitivelyDependsOn(ir::InstId s2, ir::InstId s1) const {
-    return closure_[s1][s2];
+    return closure_.Test(s1, s2);
   }
   // Loop membership (rule 5): s ⇝* s.
-  bool SelfDependent(ir::InstId s) const { return closure_[s][s]; }
+  bool SelfDependent(ir::InstId s) const { return closure_.Test(s, s); }
+  // The whole ⇝* relation: (s1, s2) is set iff s1 ⇝* s2.
+  const BitMatrix& Closure() const { return closure_; }
 
   // Length (edge count) of the longest dependency chain from any chain-start
   // to each instruction / from each instruction to any chain-end. Statements
@@ -67,14 +73,13 @@ class DependencyGraph {
 
  private:
   void AddEdge(ir::InstId from, ir::InstId to, DepKind kind);
-  void ComputeClosure();
   void ComputeDistances();
 
   int n_ = 0;
   std::vector<DepEdge> edges_;
   std::vector<std::vector<ir::InstId>> deps_of_;
   std::vector<std::vector<ir::InstId>> users_of_;
-  std::vector<std::vector<bool>> closure_;  // closure_[a][b]: a ⇝* b
+  BitMatrix closure_;
   std::vector<int> dist_entry_;
   std::vector<int> dist_exit_;
   std::vector<ReadWriteSets> sets_;

@@ -58,19 +58,42 @@ bool StatementSupportedByP4(const ir::Function& fn, const Instruction& inst) {
   return false;
 }
 
+namespace {
+
+// Instructions indexed by InstId; null for those in unreachable blocks.
+std::vector<const Instruction*> ReachableInsts(const ir::Function& fn,
+                                               const analysis::CfgInfo& cfg) {
+  std::vector<const Instruction*> insts(fn.num_insts(), nullptr);
+  for (const ir::BasicBlock& bb : fn.blocks()) {
+    if (!cfg.BlockReachable(bb.id)) continue;
+    for (const Instruction& inst : bb.insts) insts[inst.id] = &inst;
+  }
+  return insts;
+}
+
+}  // namespace
+
 Partitioner::Partitioner(const ir::Function& fn, SwitchConstraints constraints)
     : fn_(fn),
       c_(constraints),
-      cfg_(fn),
-      deps_(fn, cfg_),
+      owned_cfg_(std::make_unique<analysis::CfgInfo>(fn)),
+      owned_deps_(std::make_unique<analysis::DependencyGraph>(fn, *owned_cfg_)),
+      cfg_(*owned_cfg_),
+      deps_(*owned_deps_),
       liveness_(fn, cfg_),
-      insts_(fn.num_insts(), nullptr) {
-  for (const ir::BasicBlock& bb : fn.blocks()) {
-    if (!cfg_.BlockReachable(bb.id)) continue;
-    for (const Instruction& inst : bb.insts) insts_[inst.id] = &inst;
-  }
-  replicable_ = ComputeReplicable();
-}
+      insts_(ReachableInsts(fn, cfg_)),
+      replicable_(ComputeReplicable()) {}
+
+Partitioner::Partitioner(const ir::Function& fn, SwitchConstraints constraints,
+                         const analysis::CfgInfo& cfg,
+                         const analysis::DependencyGraph& deps)
+    : fn_(fn),
+      c_(constraints),
+      cfg_(cfg),
+      deps_(deps),
+      liveness_(fn, cfg_),
+      insts_(ReachableInsts(fn, cfg_)),
+      replicable_(ComputeReplicable()) {}
 
 std::vector<bool> Partitioner::ComputeReplicable() const {
   // A header read may be re-executed by a later partition when no header
@@ -157,11 +180,9 @@ int Partitioner::RunFixpointOn(std::vector<LabelSet>& labels) const {
         clear_post(s1);
       }
 
-      for (InstId s2 = 0; s2 < n; ++s2) {
-        if (insts_[s2] == nullptr || s1 == s2) continue;
-        if (!deps_.TransitivelyDependsOn(s2, s1)) continue;
-        // Here s1 ⇝* s2 (s2 depends on s1).
-
+      // Every s2 with s1 ⇝* s2 (s2 depends on s1), in increasing id order.
+      deps_.Closure().ForEachInRow(s1, [&](InstId s2) {
+        if (insts_[s2] == nullptr || s1 == s2) return;
         // Rule 1: if s2 cannot be post, nothing it depends on can be post.
         if (!labels[s2].post) clear_post(s1);
         // Rule 2: if s1 cannot be pre, nothing depending on it can be pre.
@@ -173,7 +194,7 @@ int Partitioner::RunFixpointOn(std::vector<LabelSet>& labels) const {
           if (labels[s1].pre) clear_pre(s2);
           if (labels[s2].post) clear_post(s1);
         }
-      }
+      });
     }
 
     // Rule 6 (pre horizon): the pre pass walks the CFG linearly and stops

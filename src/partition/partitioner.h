@@ -38,6 +38,12 @@ bool StatementSupportedByP4(const ir::Function& fn,
 class Partitioner {
  public:
   Partitioner(const ir::Function& fn, SwitchConstraints constraints);
+  // Borrows `fn`'s CFG facts and dependency graph instead of building them.
+  // Neither depends on the constraints, so one pair can serve every
+  // partition round of a spill loop; both must outlive the partitioner.
+  Partitioner(const ir::Function& fn, SwitchConstraints constraints,
+              const analysis::CfgInfo& cfg,
+              const analysis::DependencyGraph& deps);
 
   Result<PartitionPlan> Run();
 
@@ -77,8 +83,11 @@ class Partitioner {
 
   const ir::Function& fn_;
   SwitchConstraints c_;
-  analysis::CfgInfo cfg_;
-  analysis::DependencyGraph deps_;
+  // Set only when the partitioner built its own analyses.
+  std::unique_ptr<const analysis::CfgInfo> owned_cfg_;
+  std::unique_ptr<const analysis::DependencyGraph> owned_deps_;
+  const analysis::CfgInfo& cfg_;
+  const analysis::DependencyGraph& deps_;
   analysis::Liveness liveness_;
   std::vector<const ir::Instruction*> insts_;  // indexed by InstId
   std::vector<bool> replicable_;

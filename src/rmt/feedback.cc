@@ -53,12 +53,16 @@ Result<OffloadPlanResult> PartitionAndPlace(
                                           fn.vectors().size() +
                                           fn.globals().size()) +
                          1;
+  // The CFG facts and the dependency graph do not depend on the
+  // constraints, so one pair serves every round and placement.
+  const analysis::CfgInfo cfg(fn);
+  const analysis::DependencyGraph deps(fn, cfg);
   for (int round = 1; round <= max_rounds; ++round) {
-    partition::Partitioner partitioner(fn, c);
+    partition::Partitioner partitioner(fn, c, cfg, deps);
     GALLIUM_ASSIGN_OR_RETURN(result.plan, partitioner.Run());
     result.rounds = round;
 
-    PlacementResult placed = PlaceTables(fn, result.plan, target);
+    PlacementResult placed = PlaceTables(fn, result.plan, target, &deps);
     result.placement = std::move(placed.report);
     if (!placed.failure.has_value()) {
       result.spilled = c.spilled_state;

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <sstream>
 
-#include "analysis/cfg.h"
 #include "analysis/depgraph.h"
 #include "util/strings.h"
 
@@ -140,7 +140,7 @@ const char* TableKindName(TableRequirement::Kind kind) {
 
 std::vector<TableRequirement> BuildLogicalTables(
     const ir::Function& fn, const partition::PartitionPlan& plan,
-    const RmtTargetModel& target) {
+    const RmtTargetModel& target, const analysis::DependencyGraph* deps) {
   std::vector<TableRequirement> reqs;
 
   // One register occupies a single SRAM block and one stateful ALU.
@@ -244,8 +244,8 @@ std::vector<TableRequirement> BuildLogicalTables(
   // depends on another table's result must be applied in a later stage of
   // the same pipeline pass. Tables of different passes share stage capacity
   // but not ordering (the packet traverses the pipeline once per pass).
-  analysis::CfgInfo cfg(fn);
-  analysis::DependencyGraph deps(fn, cfg);
+  std::optional<analysis::DependencyGraph> own_deps;
+  if (deps == nullptr) deps = &own_deps.emplace(fn);
   const int n = static_cast<int>(reqs.size());
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
@@ -257,11 +257,11 @@ std::vector<TableRequirement> BuildLogicalTables(
       }
       if (reqs[i].part != reqs[j].part) continue;
       if (reqs[i].access == reqs[j].access) continue;
-      if (!deps.TransitivelyDependsOn(reqs[j].access, reqs[i].access)) {
+      if (!deps->TransitivelyDependsOn(reqs[j].access, reqs[i].access)) {
         continue;
       }
       // Mutual dependence (shared loop) has no stage order; skip both.
-      if (deps.TransitivelyDependsOn(reqs[i].access, reqs[j].access)) continue;
+      if (deps->TransitivelyDependsOn(reqs[i].access, reqs[j].access)) continue;
       reqs[j].after.push_back(i);
     }
   }
@@ -288,10 +288,11 @@ std::vector<TableRequirement> BuildLogicalTables(
 
 PlacementResult PlaceTables(const ir::Function& fn,
                             const partition::PartitionPlan& plan,
-                            const RmtTargetModel& target) {
+                            const RmtTargetModel& target,
+                            const analysis::DependencyGraph* deps) {
   PlacementResult result;
   result.report.target = target;
-  result.report.tables = BuildLogicalTables(fn, plan, target);
+  result.report.tables = BuildLogicalTables(fn, plan, target, deps);
   auto& reqs = result.report.tables;
   const int n = static_cast<int>(reqs.size());
   result.report.stage_of.assign(n, -1);

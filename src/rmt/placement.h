@@ -29,6 +29,10 @@
 #include "partition/plan.h"
 #include "rmt/target.h"
 
+namespace gallium::analysis {
+class DependencyGraph;
+}  // namespace gallium::analysis
+
 namespace gallium::rmt {
 
 // One logical table (or stage register) and its per-stage resource demand.
@@ -117,16 +121,20 @@ struct PlacementResult {
 
 // Derives the logical tables the plan's switch partitions need, with
 // resource demands quantized to the target's block geometry and dependency
-// edges from the function's match/action dependency graph.
+// edges from the function's match/action dependency graph. `deps`, when
+// non-null, is `fn`'s dependency graph, used instead of building one.
 std::vector<TableRequirement> BuildLogicalTables(
     const ir::Function& fn, const partition::PartitionPlan& plan,
-    const RmtTargetModel& target);
+    const RmtTargetModel& target,
+    const analysis::DependencyGraph* deps = nullptr);
 
 // Assigns every logical table to a stage, or reports the first table that
-// cannot be placed. Deterministic for a given (fn, plan, target).
+// cannot be placed. Deterministic for a given (fn, plan, target). `deps` is
+// passed through to BuildLogicalTables.
 PlacementResult PlaceTables(const ir::Function& fn,
                             const partition::PartitionPlan& plan,
-                            const RmtTargetModel& target);
+                            const RmtTargetModel& target,
+                            const analysis::DependencyGraph* deps = nullptr);
 
 const char* TableKindName(TableRequirement::Kind kind);
 

@@ -247,14 +247,26 @@ Result<int> Switch::CommitMutations(
     const std::vector<runtime::RecordingStateBackend::MapMutation>& maps,
     const std::vector<runtime::RecordingStateBackend::GlobalMutation>&
         globals) {
-  // Step 1: stage every mutation into the write-back tables.
+  // Step 1: stage every mutation into the write-back tables and check that
+  // each touched table can absorb its share. Any failure discards the
+  // batch's staged entries everywhere: a batch applies entirely or not at
+  // all, and no table is left reading a stuck shadow.
   std::set<ir::StateIndex> touched_tables;
+  auto discard = [&](Status failure) {
+    for (ir::StateIndex t : touched_tables) map_tables_[t]->DiscardStaged();
+    return failure;
+  };
   for (const auto& m : maps) {
     ExactMatchTable* table = map_tables_[m.map].get();
     if (table == nullptr) continue;  // state not replicated to the switch
-    GALLIUM_RETURN_IF_ERROR(table->Stage(
-        m.key, m.is_erase ? std::nullopt : std::make_optional(m.values)));
     touched_tables.insert(m.map);
+    Status staged = table->Stage(
+        m.key, m.is_erase ? std::nullopt : std::make_optional(m.values));
+    if (!staged.ok()) return discard(std::move(staged));
+  }
+  for (ir::StateIndex t : touched_tables) {
+    Status fits = map_tables_[t]->CheckStagedFits();
+    if (!fits.ok()) return discard(std::move(fits));
   }
 
   // Step 2: flip the use-write-back bit — this is the atomic commit point;
@@ -272,8 +284,9 @@ Result<int> Switch::CommitMutations(
   }
 
   // Step 3: write the updates into the main tables and flip the bit back.
+  // Applying cannot fail: every table passed CheckStagedFits above.
   for (ir::StateIndex t : touched_tables) {
-    GALLIUM_RETURN_IF_ERROR(map_tables_[t]->ApplyStagedToMain());
+    (void)map_tables_[t]->ApplyStagedToMain();
     map_tables_[t]->SetUseWriteBack(false);
   }
 

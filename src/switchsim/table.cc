@@ -117,18 +117,34 @@ Status ExactMatchTable::Stage(const TableKey& key,
   return Status::Ok();
 }
 
+Status ExactMatchTable::CheckStagedFits() const {
+  if (fifo_eviction_) return Status::Ok();  // cache mode evicts instead
+  if (size() + write_back_.size() <= max_entries_) return Status::Ok();
+  // Near capacity: replay ApplyStagedToMain's iteration on entry counts.
+  uint64_t entries = size();
+  for (const auto& [key, value] : write_back_) {
+    const bool resident = MainContains(key);
+    if (!value.has_value()) {
+      entries -= resident ? 1 : 0;
+    } else if (!resident) {
+      if (entries >= max_entries_) {
+        return ResourceExhausted("table " + name_ + ": table full (" +
+                                 std::to_string(max_entries_) + " entries)");
+      }
+      ++entries;
+    }
+  }
+  return Status::Ok();
+}
+
 Status ExactMatchTable::ApplyStagedToMain() {
+  GALLIUM_RETURN_IF_ERROR(CheckStagedFits());
   for (auto& [key, value] : write_back_) {
     if (value.has_value()) {
-      if (size() >= max_entries_ && !MainContains(key)) {
-        if (!fifo_eviction_) {
-          return ResourceExhausted("table " + name_ + ": table full (" +
-                                   std::to_string(max_entries_) +
-                                   " entries)");
-        }
-        EvictOldest();
+      if (fifo_eviction_ && !MainContains(key)) {
+        if (size() >= max_entries_) EvictOldest();
+        insertion_order_.push_back(key);
       }
-      if (fifo_eviction_ && !MainContains(key)) insertion_order_.push_back(key);
       MainUpsert(key, *value);
     } else {
       MainErase(key);

@@ -52,8 +52,18 @@ class ExactMatchTable {
   Status Stage(const TableKey& key, std::optional<TableValue> value);
   void SetUseWriteBack(bool use) { use_write_back_ = use; }
   bool use_write_back() const { return use_write_back_; }
-  // Applies all staged entries to the main table and clears the shadow.
+  // Whether the main table can absorb every staged entry (always true in
+  // cache mode, which evicts instead).
+  Status CheckStagedFits() const;
+  // Applies all staged entries to the main table and clears the shadow. All
+  // or nothing: when the entries do not fit, nothing is applied and they
+  // stay staged.
   Status ApplyStagedToMain();
+  // Drops the staged entries and clears the use-write-back bit.
+  void DiscardStaged() {
+    write_back_.clear();
+    use_write_back_ = false;
+  }
 
   // Direct main-table mutation, used only for initial configuration (table
   // population before traffic starts).

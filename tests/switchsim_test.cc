@@ -3,6 +3,7 @@
 // construction from a partition plan, and resource accounting.
 #include <gtest/gtest.h>
 
+#include "frontend/middlebox_builder.h"
 #include "mbox/middleboxes.h"
 #include "partition/partitioner.h"
 #include "switchsim/switch.h"
@@ -232,6 +233,69 @@ TEST(Switch, MutationsToServerOnlyStateAreIgnored) {
       {MapMut{created, {1, 2, 3, 4, 6}, {7}, false}}, {}, &rng);
   ASSERT_TRUE(latency.ok());
   EXPECT_EQ(*latency, 0.0) << "no resident table touched";
+}
+
+// A sync batch that overflows one table must apply nothing anywhere, and it
+// must not leave a table reading its write-back shadow.
+TEST(Switch, OverflowingSyncBatchAppliesNothing) {
+  frontend::MiddleboxBuilder mb("two_tables");
+  auto small = mb.DeclareMap("small", {ir::Width::kU32}, {ir::Width::kU32}, 16);
+  auto big = mb.DeclareMap("big", {ir::Width::kU32}, {ir::Width::kU32}, 1024);
+  auto& b = mb.b();
+  const ir::Reg key = b.HeaderRead(ir::HeaderField::kIpSrc, "key");
+  const auto in_small = small.Find({ir::R(key)}, "s");
+  const auto in_big = big.Find({ir::R(key)}, "b");
+  mb.If(ir::R(b.Alu(ir::AluOp::kOr, ir::R(in_small.found), ir::R(in_big.found),
+                    "hit")),
+        [&] { b.Drop(); });
+  small.Insert({ir::R(key)}, {ir::Imm(1)});
+  big.Insert({ir::R(key)}, {ir::Imm(2)});
+  b.Send(ir::Imm(1));
+  auto fn = std::move(mb).Finish();
+  ASSERT_TRUE(fn.ok()) << fn.status().ToString();
+  partition::Partitioner partitioner(**fn, {});
+  auto plan = partitioner.Run();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto sw = Switch::Create(**fn, *plan, {});
+  ASSERT_TRUE(sw.ok()) << sw.status().ToString();
+  ASSERT_NE((*sw)->table(small.index()), nullptr);
+  ASSERT_NE((*sw)->table(big.index()), nullptr);
+
+  using MapMut = runtime::RecordingStateBackend::MapMutation;
+  std::vector<MapMut> fill;
+  for (uint64_t k = 0; k < 16; ++k) fill.push_back({small.index(), {k}, {k}});
+  Rng rng(7);
+  ASSERT_TRUE((*sw)->ApplyAtomicUpdate(fill, {}, &rng).ok());
+
+  // Key 16 would be the 17th small entry. The overwrite of key 3 is staged
+  // ahead of it, so a half-applied batch would leak that overwrite.
+  const std::vector<MapMut> overflow = {
+      {big.index(), {100}, {1}},
+      {small.index(), {3}, {33}},
+      {small.index(), {16}, {16}},
+  };
+  auto failed = (*sw)->ApplyAtomicUpdate(overflow, {}, &rng);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), ErrorCode::kResourceExhausted);
+
+  for (ir::StateIndex map : {small.index(), big.index()}) {
+    EXPECT_FALSE((*sw)->table(map)->use_write_back()) << map;
+    EXPECT_EQ((*sw)->table(map)->staged_entries(), 0u) << map;
+  }
+  EXPECT_EQ((*sw)->table(big.index())->size(), 0u);
+  EXPECT_EQ((*sw)->table(small.index())->size(), 16u);
+  runtime::StateValue value;
+  EXPECT_FALSE((*sw)->data_plane().MapLookup(big.index(), {100}, &value));
+  ASSERT_TRUE((*sw)->data_plane().MapLookup(small.index(), {3}, &value));
+  EXPECT_EQ(value[0], 3u) << "the overwrite in the failed batch leaked";
+  EXPECT_FALSE((*sw)->data_plane().MapLookup(small.index(), {16}, &value));
+  EXPECT_EQ((*sw)->sync_batches(), 1u);
+
+  // The next batch that fits applies normally.
+  ASSERT_TRUE((*sw)->ApplyAtomicUpdate({{big.index(), {100}, {1}}}, {}, &rng)
+                  .ok());
+  EXPECT_TRUE((*sw)->data_plane().MapLookup(big.index(), {100}, &value));
+  EXPECT_FALSE((*sw)->data_plane().MapLookup(small.index(), {16}, &value));
 }
 
 }  // namespace
