@@ -5,7 +5,7 @@
 
 namespace gallium::perf {
 
-double CostModel::PacketCycles(const runtime::ExecStats& stats,
+double CostModel::PacketCycles(const telemetry::OpCounts& stats,
                                int wire_bytes, int payload_bytes) const {
   double cycles = cycles_pkt_fixed + cycles_per_byte * wire_bytes;
   cycles += cycles_alu * stats.alu_ops;
@@ -20,7 +20,7 @@ double CostModel::PacketCycles(const runtime::ExecStats& stats,
   return cycles;
 }
 
-double CostModel::PacketServerUs(const runtime::ExecStats& stats,
+double CostModel::PacketServerUs(const telemetry::OpCounts& stats,
                                  int wire_bytes, int payload_bytes) const {
   return PacketCycles(stats, wire_bytes, payload_bytes) /
          (server_ghz * 1000.0);

@@ -13,7 +13,7 @@
 #include <cstdint>
 
 #include "rmt/placement.h"
-#include "runtime/interpreter.h"
+#include "telemetry/trace.h"
 
 namespace gallium::perf {
 
@@ -68,10 +68,10 @@ struct CostModel {
 
   // --- Derived helpers ---------------------------------------------------------
   // Cycles to process one packet in software given executed-op counts.
-  double PacketCycles(const runtime::ExecStats& stats, int wire_bytes,
+  double PacketCycles(const telemetry::OpCounts& stats, int wire_bytes,
                       int payload_bytes) const;
   // Server processing time in microseconds.
-  double PacketServerUs(const runtime::ExecStats& stats, int wire_bytes,
+  double PacketServerUs(const telemetry::OpCounts& stats, int wire_bytes,
                         int payload_bytes) const;
   // Wire serialization delay for one packet.
   double WireUs(int wire_bytes) const {

@@ -1,6 +1,5 @@
 #include "perf/harness.h"
 
-#include <chrono>
 #include <cmath>
 
 #include "workload/packet_gen.h"
@@ -9,18 +8,12 @@ namespace gallium::perf {
 
 namespace {
 
-runtime::ExecStats DivideStats(const runtime::ExecStats& total, int count) {
-  runtime::ExecStats mean;
+telemetry::OpCounts DivideStats(const telemetry::OpCounts& total, int count) {
+  telemetry::OpCounts mean;
   if (count == 0) return mean;
-  mean.insts = total.insts / count;
-  mean.alu_ops = total.alu_ops / count;
-  mean.header_ops = total.header_ops / count;
-  mean.map_lookups = total.map_lookups / count;
-  mean.map_updates = total.map_updates / count;
-  mean.vector_ops = total.vector_ops / count;
-  mean.global_ops = total.global_ops / count;
-  mean.payload_ops = total.payload_ops / count;
-  mean.branches = total.branches / count;
+  for (const auto& f : telemetry::kOpCountFields) {
+    mean.*(f.field) = total.*(f.field) / count;
+  }
   return mean;
 }
 
@@ -28,22 +21,7 @@ runtime::ExecStats DivideStats(const runtime::ExecStats& total, int count) {
 
 Result<MiddleboxProfile> ProfileMiddlebox(
     const std::function<Result<mbox::MiddleboxSpec>()>& build, int num_flows,
-    uint64_t seed, telemetry::Timeline* timeline) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point t0 = Clock::now();
-  auto wall_us = [&t0] {
-    return std::chrono::duration<double, std::micro>(Clock::now() - t0)
-        .count();
-  };
-  double phase_start = 0;
-  auto end_phase = [&](const char* phase_name) {
-    if (timeline == nullptr) return;
-    const double now = wall_us();
-    timeline->CompleteEvent(phase_name, "profile", phase_start,
-                            now - phase_start);
-    phase_start = now;
-  };
-
+    uint64_t seed) {
   GALLIUM_ASSIGN_OR_RETURN(mbox::MiddleboxSpec spec_sw, build());
   GALLIUM_ASSIGN_OR_RETURN(mbox::MiddleboxSpec spec_off, build());
 
@@ -52,7 +30,6 @@ Result<MiddleboxProfile> ProfileMiddlebox(
   options.serialize_wire = false;  // profiling loop, wire cost modeled later
   GALLIUM_ASSIGN_OR_RETURN(auto offloaded, runtime::OffloadedMiddlebox::Create(
                                                spec_off, options));
-  end_phase("profile.build_runtimes");
 
   MiddleboxProfile profile;
   profile.name = spec_sw.name;
@@ -66,10 +43,9 @@ Result<MiddleboxProfile> ProfileMiddlebox(
   trace_options.min_flow_bytes = 500000;
   trace_options.max_flow_bytes = 2000000;
   const workload::Trace trace = workload::MakeTrace(rng, trace_options);
-  end_phase("profile.generate_trace");
 
-  runtime::ExecStats baseline_total;
-  runtime::ExecStats server_total;
+  telemetry::OpCounts baseline_total;
+  telemetry::OpCounts server_total;
   int slow_packets = 0;
   int synced_packets = 0;
   double sync_latency_total = 0;
@@ -94,8 +70,6 @@ Result<MiddleboxProfile> ProfileMiddlebox(
     }
   }
 
-  end_phase("profile.replay");
-
   const int total = static_cast<int>(trace.packets.size());
   profile.baseline_stats = DivideStats(baseline_total, total);
   profile.server_slow_stats = DivideStats(server_total, slow_packets);
@@ -110,7 +84,7 @@ Result<MiddleboxProfile> ProfileMiddlebox(
 }
 
 double FastClickLatencyUs(const CostModel& cost,
-                          const runtime::ExecStats& stats, int wire_bytes) {
+                          const telemetry::OpCounts& stats, int wire_bytes) {
   const double processing =
       cost.PacketServerUs(stats, wire_bytes, /*payload_bytes=*/0);
   return cost.endhost_stack_us                       // sender stack
@@ -138,7 +112,7 @@ double OffloadedFastPathLatencyUs(const CostModel& cost, int wire_bytes,
 }
 
 double ClickThroughputGbps(const CostModel& cost,
-                           const runtime::ExecStats& stats, int wire_bytes,
+                           const telemetry::OpCounts& stats, int wire_bytes,
                            int cores) {
   const double cycles = cost.PacketCycles(stats, wire_bytes, 0);
   const double capacity_pps = cores * cost.CorePps(cycles);
@@ -188,8 +162,8 @@ void StampTrace(const CostModel& cost, int wire_bytes,
       } else {
         // Server-side hops (full pass, degraded pass, cache recovery):
         // priced by the op counts the interpreter recorded there.
-        hop.duration_us = cost.PacketServerUs(
-            runtime::FromOpCounts(hop.ops), wire_bytes, /*payload_bytes=*/0);
+        hop.duration_us =
+            cost.PacketServerUs(hop.ops, wire_bytes, /*payload_bytes=*/0);
       }
     }
     hop.ts_us = cursor;

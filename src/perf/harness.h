@@ -12,7 +12,6 @@
 #include "perf/cost_model.h"
 #include "runtime/offloaded_middlebox.h"
 #include "runtime/software_middlebox.h"
-#include "telemetry/timeline.h"
 #include "telemetry/trace.h"
 #include "util/rng.h"
 
@@ -22,20 +21,17 @@ namespace gallium::perf {
 // measured by running a trace through both runtimes.
 struct MiddleboxProfile {
   std::string name;
-  runtime::ExecStats baseline_stats;     // mean per-packet ops, software
-  runtime::ExecStats server_slow_stats;  // mean per-slow-packet server ops
+  telemetry::OpCounts baseline_stats;    // mean per-packet ops, software
+  telemetry::OpCounts server_slow_stats; // mean per-slow-packet server ops
   double fast_path_fraction = 1.0;       // offloaded: share never hitting server
   double sync_per_slow_packet = 0.0;     // share of slow packets that sync
   double mean_sync_latency_us = 0.0;
 };
 
-// Runs `num_flows` TCP flows through both runtimes and averages. When
-// `timeline` is non-null, the harness records its phases (trace generation,
-// software pass, offloaded pass) as wall-clock slices on it, so a profiling
-// sweep over many middleboxes renders as one Perfetto timeline.
+// Runs `num_flows` TCP flows through both runtimes and averages.
 Result<MiddleboxProfile> ProfileMiddlebox(
     const std::function<Result<mbox::MiddleboxSpec>()>& build, int num_flows,
-    uint64_t seed = 7, telemetry::Timeline* timeline = nullptr);
+    uint64_t seed = 7);
 
 // --- Trace stamping ----------------------------------------------------------
 
@@ -53,7 +49,7 @@ void StampTrace(const CostModel& cost, int wire_bytes,
 // End-to-end one-way latency through the FastClick deployment:
 // endhost -> switch -> middlebox server -> switch -> endhost.
 double FastClickLatencyUs(const CostModel& cost,
-                          const runtime::ExecStats& stats, int wire_bytes);
+                          const telemetry::OpCounts& stats, int wire_bytes);
 
 // End-to-end latency through the Gallium deployment's fast path:
 // endhost -> switch (pre+post in-pipeline) -> endhost.
@@ -69,7 +65,7 @@ double OffloadedFastPathLatencyUs(const CostModel& cost, int wire_bytes,
 // Achievable throughput of the FastClick middlebox on `cores` cores for
 // fixed-size packets.
 double ClickThroughputGbps(const CostModel& cost,
-                           const runtime::ExecStats& stats, int wire_bytes,
+                           const telemetry::OpCounts& stats, int wire_bytes,
                            int cores);
 
 // Achievable throughput of the offloaded middlebox (server restricted to

@@ -3,44 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <limits>
 
 namespace gallium::runtime {
 
 using ir::HeaderField;
 using ir::Opcode;
 using partition::Part;
-
-ExecStats& ExecStats::operator+=(const ExecStats& other) {
-  insts += other.insts;
-  alu_ops += other.alu_ops;
-  header_ops += other.header_ops;
-  map_lookups += other.map_lookups;
-  map_updates += other.map_updates;
-  vector_ops += other.vector_ops;
-  global_ops += other.global_ops;
-  payload_ops += other.payload_ops;
-  branches += other.branches;
-  return *this;
-}
-
-ExecStats FromOpCounts(const telemetry::OpCounts& counts) {
-  auto clamp = [](int64_t v) {
-    return static_cast<int>(std::min<int64_t>(
-        v, std::numeric_limits<int>::max()));
-  };
-  ExecStats stats;
-  stats.insts = clamp(counts.insts);
-  stats.alu_ops = clamp(counts.alu_ops);
-  stats.header_ops = clamp(counts.header_ops);
-  stats.map_lookups = clamp(counts.map_lookups);
-  stats.map_updates = clamp(counts.map_updates);
-  stats.vector_ops = clamp(counts.vector_ops);
-  stats.global_ops = clamp(counts.global_ops);
-  stats.payload_ops = clamp(counts.payload_ops);
-  stats.branches = clamp(counts.branches);
-  return stats;
-}
 
 Interpreter::Interpreter(const ir::Function& fn) : fn_(&fn) {}
 

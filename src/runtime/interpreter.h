@@ -54,41 +54,6 @@ struct ExecScratch {
   StateValue value;
 };
 
-// Execution counters; the performance model converts these to cycles.
-struct ExecStats {
-  int insts = 0;
-  int alu_ops = 0;
-  int header_ops = 0;
-  int map_lookups = 0;
-  int map_updates = 0;
-  int vector_ops = 0;
-  int global_ops = 0;
-  int payload_ops = 0;
-  int branches = 0;
-
-  ExecStats& operator+=(const ExecStats& other);
-};
-
-// Bridge into the telemetry vocabulary: the same counts, field for field,
-// in the leaf-library mirror that traces and registry recorders carry.
-// Runs once per pipeline pass on the packet hot path, hence inline.
-inline telemetry::OpCounts ToOpCounts(const ExecStats& stats) {
-  telemetry::OpCounts counts;
-  counts.insts = stats.insts;
-  counts.alu_ops = stats.alu_ops;
-  counts.header_ops = stats.header_ops;
-  counts.map_lookups = stats.map_lookups;
-  counts.map_updates = stats.map_updates;
-  counts.vector_ops = stats.vector_ops;
-  counts.global_ops = stats.global_ops;
-  counts.payload_ops = stats.payload_ops;
-  counts.branches = stats.branches;
-  return counts;
-}
-// Inverse bridge (cost-model helpers take ExecStats; trace hops carry
-// OpCounts). Counts are clamped into int range on the way back.
-ExecStats FromOpCounts(const telemetry::OpCounts& counts);
-
 struct ExecResult {
   Status status = Status::Ok();
   Verdict verdict;
@@ -99,7 +64,8 @@ struct ExecResult {
   // so the result is not authoritative — the pre pass aborted and the
   // server must process the packet from scratch.
   bool cache_miss_abort = false;
-  ExecStats stats;
+  // Execution counters; the performance model converts these to cycles.
+  telemetry::OpCounts stats;
   // Filled when an out-spec is provided.
   TransferValues transfer_out;
   // Keys this walk looked up in cached maps (server-full pass only): the

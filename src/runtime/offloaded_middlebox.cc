@@ -419,26 +419,31 @@ void OffloadedMiddlebox::RecordFault(const char* kind, std::string detail) {
       telemetry::TraceFaultEvent{kind, std::move(detail), 0});
 }
 
-void OffloadedMiddlebox::RecordSwitchHop(const char* stage,
-                                         const ExecStats& stats) {
+void OffloadedMiddlebox::RecordPassHop(const char* stage, bool on_switch,
+                                       const telemetry::OpCounts& ops) {
   telemetry::TraceHop* hop = AddHop(stage);
-  hop->ops = ToOpCounts(stats);
-  hop->stages_occupied = switch_->stages_occupied();
+  hop->ops = ops;
+  if (on_switch) hop->stages_occupied = switch_->stages_occupied();
 }
 
 void OffloadedMiddlebox::RecordWireHop(const char* stage, int transfer_bytes) {
   AddHop(stage)->transfer_bytes = transfer_bytes;
 }
 
-void OffloadedMiddlebox::RecordServerHop(const char* stage,
-                                         const ExecStats& stats) {
-  AddHop(stage)->ops = ToOpCounts(stats);
-}
-
 void OffloadedMiddlebox::RecordSyncHop(double latency_us) {
   // The modeled control-plane latency is known here — stamp it natively
   // (perf::StampTrace leaves non-zero durations alone).
   AddHop(telemetry::kHopSyncCommit)->duration_us = latency_us;
+}
+
+inline void OffloadedMiddlebox::AccountPass(const char* stage, bool on_switch,
+                                            const telemetry::OpCounts& ops,
+                                            Outcome* outcome) {
+  (on_switch ? outcome->switch_stats : outcome->server_stats) += ops;
+  (on_switch ? switch_ops_ : server_ops_).Add(ops);
+  if (active_trace_ != nullptr) [[unlikely]] {
+    RecordPassHop(stage, on_switch, ops);
+  }
 }
 
 void OffloadedMiddlebox::PublishSwitchStageMetrics() {
@@ -659,11 +664,8 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessInner(net::Packet&& pkt,
                                         &plan_.to_server,
                                         cache_mode ? &cached_maps_ : nullptr,
                                         &scratch_);
-  outcome.switch_stats += pre.stats;
-  switch_ops_.Add(ToOpCounts(pre.stats));
-  if (active_trace_ != nullptr) [[unlikely]] {
-    RecordSwitchHop(telemetry::kHopSwitchPre, pre.stats);
-  }
+  AccountPass(telemetry::kHopSwitchPre, /*on_switch=*/true, pre.stats,
+              &outcome);
   if (!pre.status.ok()) {
     outcome.status = pre.status;
     return outcome;
@@ -674,9 +676,8 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessInner(net::Packet&& pkt,
       RecordFault("cache_miss", "pre pass aborted on a non-authoritative miss");
       active_trace_->cache_miss = true;
     }
-    Outcome miss_outcome = ProcessCacheMiss(std::move(pristine), now_ms);
-    miss_outcome.switch_stats += pre.stats;  // the aborted pre attempt
-    return miss_outcome;
+    ProcessCacheMiss(std::move(pristine), now_ms, &outcome);
+    return outcome;
   }
 
   if (!pre.needs_server) {
@@ -731,11 +732,7 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessInner(net::Packet&& pkt,
                                         Part::kNonOffloaded, &plan_.to_server,
                                         &in_values1.value(), &plan_.to_switch,
                                         /*cached_maps=*/nullptr, &scratch_);
-  outcome.server_stats += srv.stats;
-  server_ops_.Add(ToOpCounts(srv.stats));
-  if (active_trace_ != nullptr) [[unlikely]] {
-    RecordServerHop(telemetry::kHopServer, srv.stats);
-  }
+  AccountPass(telemetry::kHopServer, /*on_switch=*/false, srv.stats, &outcome);
   if (!srv.status.ok()) {
     outcome.status = srv.status;
     return outcome;
@@ -762,79 +759,89 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessInner(net::Packet&& pkt,
                           recording.global_mutations());
       outcome.sync_queued = true;
       RecordFault("sync.queued");
-    } else {
-      if (options_.sync_queue.enabled() && !sync_queue_.empty()) {
-        Status drained = PumpSyncBacklog(nullptr);
-        if (!drained.ok()) {
-          outcome.status = drained;
-          return outcome;
-        }
-      }
-      bool committed = false;
-      auto latency = SyncReplicated(recording.map_mutations(),
-                                    recording.global_mutations(), &committed);
-      if (!latency.ok()) {
-        outcome.status = latency.status();
-        return outcome;
-      }
-      outcome.state_synced = committed;
-      outcome.sync_latency_us = *latency;
-      if (active_trace_ != nullptr) [[unlikely]] RecordSyncHop(*latency);
+    } else if (!CommitSync(recording.map_mutations(),
+                           recording.global_mutations(),
+                           /*holds_packet=*/true, &outcome)) {
+      return outcome;
     }
   }
 
   // --- 4. Wire: server -> switch, then the post-processing pass ----------------
-  net::GalliumHeader header2 = PackTransfer(*fn_, plan_.to_switch,
-                                            srv.transfer_out);
-  outcome.transfer_bytes_to_switch = static_cast<int>(header2.WireSize());
-  if (active_trace_ != nullptr) [[unlikely]] {
-    RecordWireHop(telemetry::kHopWireToSwitch, outcome.transfer_bytes_to_switch);
-  }
-  net::Packet back_pkt = std::move(server_pkt);
-  back_pkt.set_gallium(std::move(header2));
-  {
-    auto crossed = CrossLink(/*to_server=*/false, std::move(back_pkt));
-    if (!crossed.ok()) {
-      outcome.status = crossed.status();
-      needs_resync_ = true;
-      return outcome;
+  ReturnToSwitch(std::move(server_pkt), srv, now_ms, &outcome);
+  return outcome;
+}
+
+bool OffloadedMiddlebox::CommitSync(
+    const std::vector<RecordingStateBackend::MapMutation>& maps,
+    const std::vector<RecordingStateBackend::GlobalMutation>& globals,
+    bool holds_packet, Outcome* outcome) {
+  if (options_.sync_queue.enabled() && !sync_queue_.empty()) {
+    Status drained = PumpSyncBacklog(nullptr);
+    if (!drained.ok()) {
+      outcome->status = drained;
+      return false;
     }
-    back_pkt = std::move(crossed).value();
   }
-  auto in_values2 = UnpackTransfer(*fn_, plan_.to_switch, back_pkt.gallium());
-  if (!in_values2.ok()) {
-    outcome.status = in_values2.status();
-    return outcome;
+  bool committed = false;
+  auto latency = SyncReplicated(maps, globals, &committed);
+  if (!latency.ok()) {
+    outcome->status = latency.status();
+    return false;
+  }
+  if (holds_packet) {
+    outcome->state_synced = committed;
+    outcome->sync_latency_us = *latency;
+    if (active_trace_ != nullptr) [[unlikely]] RecordSyncHop(*latency);
+  }
+  return true;
+}
+
+void OffloadedMiddlebox::ReturnToSwitch(net::Packet pkt, const ExecResult& srv,
+                                        uint64_t now_ms, Outcome* outcome) {
+  net::GalliumHeader header = PackTransfer(*fn_, plan_.to_switch,
+                                           srv.transfer_out);
+  outcome->transfer_bytes_to_switch = static_cast<int>(header.WireSize());
+  if (active_trace_ != nullptr) [[unlikely]] {
+    RecordWireHop(telemetry::kHopWireToSwitch,
+                  outcome->transfer_bytes_to_switch);
+  }
+  pkt.set_gallium(std::move(header));
+  auto crossed = CrossLink(/*to_server=*/false, std::move(pkt));
+  if (!crossed.ok()) {
+    outcome->status = crossed.status();
+    needs_resync_ = true;
+    return;
+  }
+  net::Packet back_pkt = std::move(crossed).value();
+  auto in_values = UnpackTransfer(*fn_, plan_.to_switch, back_pkt.gallium());
+  if (!in_values.ok()) {
+    outcome->status = in_values.status();
+    return;
   }
   back_pkt.clear_gallium();
 
   switch_->BeginPipelinePass();
   ExecResult post = interp_.RunPartition(back_pkt, switch_->data_plane(),
                                          now_ms, plan_, Part::kPost,
-                                         &plan_.to_switch, &in_values2.value(),
+                                         &plan_.to_switch, &in_values.value(),
                                          /*out_spec=*/nullptr,
                                          /*cached_maps=*/nullptr, &scratch_);
-  outcome.switch_stats += post.stats;
-  switch_ops_.Add(ToOpCounts(post.stats));
-  if (active_trace_ != nullptr) [[unlikely]] {
-    RecordSwitchHop(telemetry::kHopSwitchPost, post.stats);
-  }
+  AccountPass(telemetry::kHopSwitchPost, /*on_switch=*/true, post.stats,
+              outcome);
   if (!post.status.ok()) {
-    outcome.status = post.status;
-    return outcome;
+    outcome->status = post.status;
+    return;
   }
 
-  // Verdict resolution: exactly one of the server / post passes decides.
   if (srv.verdict.decided() == post.verdict.decided()) {
-    outcome.status = Internal(
+    outcome->status = Internal(
         srv.verdict.decided() ? "both server and post pass produced a verdict"
                               : "no pass produced a verdict");
-    return outcome;
+    return;
   }
-  outcome.verdict = srv.verdict.decided() ? srv.verdict : post.verdict;
-  outcome.out_packet = std::move(back_pkt);
+  outcome->verdict = srv.verdict.decided() ? srv.verdict : post.verdict;
+  outcome->out_packet = std::move(back_pkt);
   ReconcileSwitchGlobals();
-  return outcome;
 }
 
 OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessDegraded(
@@ -851,11 +858,7 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessDegraded(
   // the authoritative host store — exactly the SoftwareMiddlebox semantics,
   // so per-flow behavior is indistinguishable from the baseline.
   ExecResult r = interp_.Run(pkt, server_state_, now_ms, &scratch_);
-  outcome.server_stats += r.stats;
-  server_ops_.Add(ToOpCounts(r.stats));
-  if (active_trace_ != nullptr) [[unlikely]] {
-    RecordServerHop(telemetry::kHopDegraded, r.stats);
-  }
+  AccountPass(telemetry::kHopDegraded, /*on_switch=*/false, r.stats, &outcome);
   if (!r.status.ok()) {
     outcome.status = r.status;
     return outcome;
@@ -872,9 +875,8 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessDegraded(
   return outcome;
 }
 
-OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessCacheMiss(
-    net::Packet pkt, uint64_t now_ms) {
-  Outcome outcome;
+void OffloadedMiddlebox::ProcessCacheMiss(net::Packet pkt, uint64_t now_ms,
+                                          Outcome* outcome) {
   // The switch forwards the pristine packet to the server (§7: "for any
   // packet that the programmable switch does not know how to handle, the
   // middlebox server handles it instead"). The server runs everything but
@@ -884,18 +886,17 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessCacheMiss(
   ExecResult srv = interp_.RunServerFull(pkt, recording, now_ms, plan_,
                                          &plan_.to_switch, cached_maps_,
                                          &scratch_);
-  outcome.server_stats += srv.stats;
-  server_ops_.Add(ToOpCounts(srv.stats));
-  if (active_trace_ != nullptr) [[unlikely]] {
-    RecordServerHop(telemetry::kHopServerFull, srv.stats);
-  }
+  AccountPass(telemetry::kHopServerFull, /*on_switch=*/false, srv.stats,
+              outcome);
   if (!srv.status.ok()) {
-    outcome.status = srv.status;
-    return outcome;
+    outcome->status = srv.status;
+    return;
   }
 
   // Build one atomic batch: the packet's replicated-state mutations plus a
-  // cache refresh for every (still-present) key the packet looked up.
+  // cache refresh for every (still-present) key the packet looked up. Cache
+  // refreshes must install synchronously (the next pre pass relies on
+  // them), so this batch never joins the backlog, even in queued mode.
   std::vector<RecordingStateBackend::MapMutation> mutations =
       recording.map_mutations();
   std::set<std::pair<ir::StateIndex, StateKey>> seen;
@@ -907,73 +908,13 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessCacheMiss(
           RecordingStateBackend::MapMutation{map, key, value, false});
     }
   }
-  if (!mutations.empty() || !recording.global_mutations().empty()) {
-    // Cache refreshes must install synchronously (the next pre pass relies
-    // on them), so this stays an inline sync even in queued mode — but the
-    // backlog must land first, or a queued older write to one of these keys
-    // would later overwrite the refreshed value.
-    if (options_.sync_queue.enabled() && !sync_queue_.empty()) {
-      Status drained = PumpSyncBacklog(nullptr);
-      if (!drained.ok()) {
-        outcome.status = drained;
-        return outcome;
-      }
-    }
-    bool committed = false;
-    auto latency =
-        SyncReplicated(mutations, recording.global_mutations(), &committed);
-    if (!latency.ok()) {
-      outcome.status = latency.status();
-      return outcome;
-    }
-    // Output commit applies only to the packet's own state updates; pure
-    // cache refreshes do not hold the packet.
-    if (recording.HasMutations()) {
-      outcome.state_synced = committed;
-      outcome.sync_latency_us = *latency;
-      if (active_trace_ != nullptr) [[unlikely]] RecordSyncHop(*latency);
-    }
+  if ((!mutations.empty() || !recording.global_mutations().empty()) &&
+      !CommitSync(mutations, recording.global_mutations(),
+                  /*holds_packet=*/recording.HasMutations(), outcome)) {
+    return;
   }
 
-  // Post pass on the switch, as usual.
-  net::GalliumHeader header2 =
-      PackTransfer(*fn_, plan_.to_switch, srv.transfer_out);
-  outcome.transfer_bytes_to_switch = static_cast<int>(header2.WireSize());
-  if (active_trace_ != nullptr) [[unlikely]] {
-    RecordWireHop(telemetry::kHopWireToSwitch, outcome.transfer_bytes_to_switch);
-  }
-  auto in_values2 = UnpackTransfer(*fn_, plan_.to_switch, header2);
-  if (!in_values2.ok()) {
-    outcome.status = in_values2.status();
-    return outcome;
-  }
-  switch_->BeginPipelinePass();
-  ExecResult post = interp_.RunPartition(pkt, switch_->data_plane(), now_ms,
-                                         plan_, Part::kPost,
-                                         &plan_.to_switch, &in_values2.value(),
-                                         /*out_spec=*/nullptr,
-                                         /*cached_maps=*/nullptr, &scratch_);
-  outcome.switch_stats += post.stats;
-  switch_ops_.Add(ToOpCounts(post.stats));
-  if (active_trace_ != nullptr) [[unlikely]] {
-    RecordSwitchHop(telemetry::kHopSwitchPost, post.stats);
-  }
-  if (!post.status.ok()) {
-    outcome.status = post.status;
-    return outcome;
-  }
-
-  if (srv.verdict.decided() == post.verdict.decided()) {
-    outcome.status = Internal(
-        srv.verdict.decided()
-            ? "both server-full and post pass produced a verdict"
-            : "no pass produced a verdict after cache miss");
-    return outcome;
-  }
-  outcome.verdict = srv.verdict.decided() ? srv.verdict : post.verdict;
-  outcome.out_packet = std::move(pkt);
-  ReconcileSwitchGlobals();
-  return outcome;
+  ReturnToSwitch(std::move(pkt), srv, now_ms, outcome);
 }
 
 Result<int> OffloadedMiddlebox::CollectIdleFlows(ir::StateIndex flows_map,

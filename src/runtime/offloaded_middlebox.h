@@ -130,8 +130,8 @@ class OffloadedMiddlebox {
     bool degraded = false;       // software-only fallback (switch down)
     bool shed = false;           // refused at ingress (backlog at bound)
     double sync_latency_us = 0;  // control-plane latency (output commit wait)
-    ExecStats switch_stats;      // pre + post pass op counts
-    ExecStats server_stats;      // non-offloaded pass op counts
+    telemetry::OpCounts switch_stats;  // pre + post pass op counts
+    telemetry::OpCounts server_stats;  // non-offloaded pass op counts
     int transfer_bytes_to_server = 0;
     int transfer_bytes_to_switch = 0;
     // Meaningful when verdict is kSend; on every decided verdict it carries
@@ -213,9 +213,6 @@ class OffloadedMiddlebox {
   uint64_t degraded_packets() const { return c_.degraded_packets->Value(); }
   uint64_t data_retries() const { return c_.data_retries->Value(); }
   uint64_t resyncs() const { return c_.resyncs->Value(); }
-  double total_resync_latency_us() const {
-    return c_.resync_latency_us->Sum();
-  }
 
   // Overload / watchdog counters (zero in legacy inline-sync mode).
   uint64_t packets_shed() const { return c_.packets_shed->Value(); }
@@ -223,9 +220,6 @@ class OffloadedMiddlebox {
     return c_.backpressure_events->Value();
   }
   uint64_t backlog_pumps() const { return c_.backlog_pumps->Value(); }
-  uint64_t unwatched_fallbacks() const {
-    return c_.unwatched_fallbacks->Value();
-  }
   // The coalescing backlog itself — depth/peak/coalesced accounting.
   const CoalescingSyncQueue& sync_backlog() const { return sync_queue_; }
   // Null unless OffloadedOptions::health.enabled.
@@ -234,9 +228,8 @@ class OffloadedMiddlebox {
   // The registry this instance's instruments live on (the private one
   // unless OffloadedOptions::registry injected a shared scrape target).
   telemetry::MetricsRegistry& metrics() { return *registry_; }
-  // Registry-backed aggregate op counts per execution location — the
-  // ExecStats totals, read back from the counters (replaces hand-rolled
-  // `ExecStats::operator+=` accumulation loops in drivers).
+  // Registry-backed aggregate op counts per execution location: the sums of
+  // every Outcome's switch_stats / server_stats, read back from the counters.
   telemetry::OpCounts switch_op_totals() const { return switch_ops_.Totals(); }
   telemetry::OpCounts server_op_totals() const { return server_ops_.Totals(); }
   // Publishes the switch's per-stage access/match/miss/recirculation
@@ -360,13 +353,17 @@ class OffloadedMiddlebox {
   // with `if (active_trace_ != nullptr) [[unlikely]]`, so with tracing off
   // the hot loop pays one predictable branch per site instead of carrying
   // the recording bodies (OpCounts copies, vector pushes) inline.
-  [[gnu::cold]] [[gnu::noinline]] void RecordSwitchHop(const char* stage,
-                                                       const ExecStats& stats);
+  [[gnu::cold]] [[gnu::noinline]] void RecordPassHop(
+      const char* stage, bool on_switch, const telemetry::OpCounts& ops);
   [[gnu::cold]] [[gnu::noinline]] void RecordWireHop(const char* stage,
                                                      int transfer_bytes);
-  [[gnu::cold]] [[gnu::noinline]] void RecordServerHop(const char* stage,
-                                                       const ExecStats& stats);
   [[gnu::cold]] [[gnu::noinline]] void RecordSyncHop(double latency_us);
+
+  // Per-pass accounting, shared by every interpreter pass: adds the pass's
+  // op counts to the Outcome and to the registry recorder of its location,
+  // and records the trace hop when tracing is on.
+  void AccountPass(const char* stage, bool on_switch,
+                   const telemetry::OpCounts& ops, Outcome* outcome);
 
   // The pre-telemetry Process() body; Process() wraps it with trace
   // begin/commit when a tracer is configured.
@@ -375,8 +372,29 @@ class OffloadedMiddlebox {
   Outcome ProcessInner(net::Packet&& pkt, uint64_t now_ms);
   Outcome ProcessTraced(net::Packet&& pkt, uint64_t now_ms);
 
-  // Cache-miss recovery: full server pass + cache refresh + post pass.
-  Outcome ProcessCacheMiss(net::Packet pkt, uint64_t now_ms);
+  // Cache-miss recovery: a full server pass plus cache-refresh mutations,
+  // then the same sync commit and return leg as every slow-path packet.
+  // `outcome` already carries the aborted pre attempt's accounting.
+  void ProcessCacheMiss(net::Packet pkt, uint64_t now_ms, Outcome* outcome);
+
+  // The slow-path tail shared by ProcessInner and ProcessCacheMiss.
+  //
+  // Sync commit (§4.3.3): drains a queued backlog first (so an older queued
+  // write cannot land after these), then delivers `maps`/`globals` as one
+  // inline batch. Only when `holds_packet` (the packet's own mutations are in
+  // the batch, not just cache refreshes) does the packet wait on it: then the
+  // outcome records state_synced, sync_latency_us and the sync hop. Returns
+  // false with outcome->status set on failure.
+  bool CommitSync(
+      const std::vector<RecordingStateBackend::MapMutation>& maps,
+      const std::vector<RecordingStateBackend::GlobalMutation>& globals,
+      bool holds_packet, Outcome* outcome);
+  // Return leg: packs the server pass's transfer values, crosses the
+  // server -> switch link, runs the post pass, resolves the verdict (exactly
+  // one of the server and post passes decides) and reconciles switch-written
+  // globals. Failures land in outcome->status.
+  void ReturnToSwitch(net::Packet pkt, const ExecResult& srv, uint64_t now_ms,
+                      Outcome* outcome);
 
   // Switch-down fallback: the whole program interpreted on the server
   // against the authoritative host store (SoftwareMiddlebox semantics).

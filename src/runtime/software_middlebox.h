@@ -18,7 +18,7 @@ class SoftwareMiddlebox {
   struct Outcome {
     Status status = Status::Ok();
     Verdict verdict;
-    ExecStats stats;
+    telemetry::OpCounts stats;
   };
 
   // Processes one packet in place (header rewrites apply to `pkt`).

@@ -5,19 +5,13 @@
 // it to interleave packet arrivals with the stages of the control-plane
 // synchronization protocol (stage -> bit flip -> main apply), checking the
 // §3.1 run-to-completion criteria with real clock interleavings.
-//
-// An optional telemetry::Timeline can be attached: named events then leave
-// instant markers at their simulated firing time, so a whole simulation run
-// renders as one Perfetto-viewable timeline.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <string>
 #include <vector>
-
-#include "telemetry/timeline.h"
 
 namespace gallium::sim {
 
@@ -28,24 +22,11 @@ class EventQueue {
   // Schedules `handler` at absolute time `at_us`. Events at equal times run
   // in scheduling order (stable).
   void Schedule(double at_us, Handler handler) {
-    events_.push(Event{at_us, next_seq_++, std::move(handler), {}});
+    events_.push(Event{at_us, next_seq_++, std::move(handler)});
   }
   void ScheduleAfter(double delay_us, Handler handler) {
     Schedule(now_ + delay_us, std::move(handler));
   }
-
-  // Named variants: when a timeline is attached, the event drops an instant
-  // marker (category "sim") at its simulated firing time.
-  void Schedule(double at_us, std::string name, Handler handler) {
-    events_.push(Event{at_us, next_seq_++, std::move(handler), std::move(name)});
-  }
-  void ScheduleAfter(double delay_us, std::string name, Handler handler) {
-    Schedule(now_ + delay_us, std::move(name), std::move(handler));
-  }
-
-  // Attaches (or detaches, with nullptr) the timeline recording named
-  // events. Not owned; must outlive the queue's Run calls.
-  void set_timeline(telemetry::Timeline* timeline) { timeline_ = timeline; }
 
   double now_us() const { return now_; }
   bool empty() const { return events_.empty(); }
@@ -67,7 +48,6 @@ class EventQueue {
     double at_us;
     uint64_t seq;
     Handler handler;
-    std::string name;  // empty = anonymous (no timeline marker)
     bool operator>(const Event& other) const {
       if (at_us != other.at_us) return at_us > other.at_us;
       return seq > other.seq;
@@ -78,16 +58,12 @@ class EventQueue {
     Event event = std::move(const_cast<Event&>(events_.top()));
     events_.pop();
     now_ = event.at_us;
-    if (timeline_ != nullptr && !event.name.empty()) {
-      timeline_->InstantEvent(event.name, "sim", now_);
-    }
     event.handler();
   }
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
   double now_ = 0;
   uint64_t next_seq_ = 0;
-  telemetry::Timeline* timeline_ = nullptr;
 };
 
 }  // namespace gallium::sim

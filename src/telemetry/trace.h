@@ -16,8 +16,10 @@
 // (ui.perfetto.dev) or chrome://tracing: one lane per pipeline location,
 // one slice per hop, instant markers for fault events.
 //
-// telemetry is a leaf library: OpCounts mirrors runtime::ExecStats field
-// for field so the runtime can convert without a dependency cycle.
+// OpCounts is the one op-count type of the system: the interpreter fills it
+// per pass, Outcomes and trace hops carry it, the registry recorder sums
+// it, and perf::CostModel prices it. It lives here because telemetry is the
+// leaf library every other layer already depends on.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +33,7 @@
 
 namespace gallium::telemetry {
 
-// Mirror of runtime::ExecStats (which the interpreter fills); kept in the
-// leaf library so traces and registry instruments can carry op counts
-// without depending on the runtime.
+// Interpreter op counts of one pass (or a sum of passes), per op kind.
 struct OpCounts {
   int64_t insts = 0;
   int64_t alu_ops = 0;

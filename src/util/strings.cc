@@ -5,18 +5,6 @@
 
 namespace gallium {
 
-std::vector<std::string> StrSplit(std::string_view text, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  for (size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == sep) {
-      parts.emplace_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return parts;
-}
-
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
@@ -29,8 +17,12 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
 
 int CountCodeLines(std::string_view source) {
   int count = 0;
-  for (const auto& line : StrSplit(source, '\n')) {
-    std::string_view v = line;
+  // Walks the lines in place: one view per line, no copies.
+  while (!source.empty()) {
+    const size_t eol = source.find('\n');
+    std::string_view v = source.substr(0, eol);
+    source.remove_prefix(eol == std::string_view::npos ? source.size()
+                                                       : eol + 1);
     // Trim leading whitespace.
     size_t i = 0;
     while (i < v.size() && std::isspace(static_cast<unsigned char>(v[i]))) ++i;

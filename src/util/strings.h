@@ -22,8 +22,6 @@ std::string StrJoin(const Range& range, std::string_view sep) {
   return out.str();
 }
 
-std::vector<std::string> StrSplit(std::string_view text, char sep);
-
 // True if `text` starts with / ends with the given affix.
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);

@@ -3,10 +3,15 @@
 // server, which reprocesses the packet and refreshes the cache.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <vector>
+
 #include "frontend/middlebox_builder.h"
 #include "mbox/middleboxes.h"
 #include "runtime/offloaded_middlebox.h"
 #include "runtime/software_middlebox.h"
+#include "telemetry/trace.h"
 #include "workload/packet_gen.h"
 
 namespace gallium::runtime {
@@ -161,6 +166,165 @@ TEST(TableCache, RejectsSwitchOnlyGlobalWrites) {
   auto mbx = OffloadedMiddlebox::Create(spec, CacheOptions(16));
   EXPECT_FALSE(mbx.ok());
   EXPECT_EQ(mbx.status().code(), ErrorCode::kUnsupported);
+}
+
+// Sends `rounds` passes over `num_flows` flows (SYN first, then ACKs) from
+// the internal port: with a cache much smaller than the flow set, every
+// round re-touches evicted entries and takes the cache-miss path.
+std::vector<net::Packet> EvictingTraffic(uint64_t seed, int num_flows,
+                                         int rounds) {
+  Rng rng(seed);
+  std::vector<net::FiveTuple> flows;
+  for (int i = 0; i < num_flows; ++i) {
+    flows.push_back(workload::RandomFlow(rng));
+  }
+  std::vector<net::Packet> packets;
+  for (int round = 0; round < rounds; ++round) {
+    for (const net::FiveTuple& flow : flows) {
+      net::Packet pkt = net::MakeTcpPacket(
+          flow, round == 0 ? net::kTcpSyn : net::kTcpAck, 64);
+      pkt.set_ingress_port(mbox::kPortInternal);
+      packets.push_back(std::move(pkt));
+    }
+  }
+  return packets;
+}
+
+TEST(TableCache, LossyDataLinksStayEquivalentAndExactlyOnce) {
+  // Cache-miss recoveries return to the switch over the same framed data
+  // link as every other slow-path packet, so data-link loss, duplication,
+  // reordering and corruption must leave outputs and the host store
+  // identical to the software baseline.
+  FaultPlan plan;
+  plan.seed = 17;
+  plan.to_server.drop = 0.2;
+  plan.to_server.duplicate = 0.1;
+  plan.to_server.reorder = 0.1;
+  plan.to_server.corrupt = 0.05;
+  plan.to_switch = plan.to_server;
+
+  const std::vector<std::function<Result<mbox::MiddleboxSpec>()>> builds = {
+      [] { return mbox::BuildMiniLb(); },
+      [] { return mbox::BuildMazuNat(); },
+  };
+  for (const auto& build : builds) {
+    auto spec_sw = build();
+    auto spec_off = build();
+    ASSERT_TRUE(spec_sw.ok() && spec_off.ok());
+    SCOPED_TRACE(spec_sw->name);
+    SoftwareMiddlebox software(*spec_sw);
+    OffloadedOptions options = CacheOptions(8);
+    options.fault_plan = &plan;
+    auto mbx = OffloadedMiddlebox::Create(*spec_off, options);
+    ASSERT_TRUE(mbx.ok()) << mbx.status().ToString();
+
+    const std::vector<net::Packet> packets = EvictingTraffic(75, 48, 4);
+    uint64_t crossings = 0;
+    for (const net::Packet& pkt : packets) {
+      net::Packet sw_pkt = pkt;
+      auto sw_out = software.Process(sw_pkt);
+      const uint64_t misses_before = (*mbx)->cache_miss_aborts();
+      auto off_out = (*mbx)->Process(pkt);
+      // A cache-miss packet reaches the server pristine and crosses only
+      // the return link; every other slow-path packet crosses both.
+      if (!off_out.fast_path) {
+        crossings += (*mbx)->cache_miss_aborts() > misses_before ? 1 : 2;
+      }
+      ASSERT_TRUE(sw_out.status.ok());
+      ASSERT_TRUE(off_out.status.ok()) << off_out.status.ToString();
+      ASSERT_EQ(sw_out.verdict, off_out.verdict) << pkt.ToString();
+      if (sw_out.verdict.kind == Verdict::Kind::kSend) {
+        EXPECT_EQ(sw_pkt.Serialize(), off_out.out_packet.Serialize())
+            << pkt.ToString();
+      }
+    }
+    EXPECT_EQ((*mbx)->packets_total(), packets.size());
+    EXPECT_GT((*mbx)->cache_miss_aborts(), 0u);
+    EXPECT_GT((*mbx)->data_retries(), 0u) << "the links never lost a frame";
+    // Every crossing succeeded exactly once: the frames sent are one per
+    // crossing plus one per retransmit.
+    FaultInjector* injector = (*mbx)->injector();
+    EXPECT_EQ(injector->to_server().frames_sent() +
+                  injector->to_switch().frames_sent(),
+              crossings + (*mbx)->data_retries());
+
+    // Exactly-once: no sync batch was applied twice.
+    std::set<uint64_t> applied;
+    for (const auto& [epoch, seq] : (*mbx)->device().applied_log()) {
+      EXPECT_TRUE(applied.insert(seq).second) << "seq " << seq << " twice";
+    }
+    // The host store ends where the baseline's state does.
+    const ir::Function& fn = (*mbx)->fn();
+    for (ir::StateIndex m = 0; m < fn.maps().size(); ++m) {
+      EXPECT_EQ((*mbx)->server_state().map_contents(m),
+                software.state().map_contents(m))
+          << fn.maps()[m].name;
+    }
+    for (ir::StateIndex g = 0; g < fn.globals().size(); ++g) {
+      EXPECT_EQ((*mbx)->server_state().GlobalRead(g),
+                software.state().GlobalRead(g))
+          << fn.global(g).name;
+    }
+  }
+}
+
+TEST(TableCache, TraceAndOutcomeOpsReaggregateToRegistryTotals) {
+  // In cache mode a missed packet runs an aborted pre pass, the server-full
+  // pass and the post pass. Every one of them is counted once: in the
+  // Outcome, in the registry totals, and as a trace hop.
+  auto spec = mbox::BuildMiniLb();
+  ASSERT_TRUE(spec.ok());
+  telemetry::Tracer tracer;
+  OffloadedOptions options = CacheOptions(4);
+  options.tracer = &tracer;
+  auto mbx = OffloadedMiddlebox::Create(*spec, options);
+  ASSERT_TRUE(mbx.ok()) << mbx.status().ToString();
+
+  telemetry::OpCounts switch_total, server_total;
+  std::vector<bool> synced;
+  for (const net::Packet& pkt : EvictingTraffic(76, 16, 3)) {
+    auto out = (*mbx)->Process(pkt);
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+    switch_total += out.switch_stats;
+    server_total += out.server_stats;
+    synced.push_back(out.state_synced);
+  }
+  EXPECT_EQ((*mbx)->switch_op_totals(), switch_total);
+  EXPECT_EQ((*mbx)->server_op_totals(), server_total);
+
+  const auto traces = tracer.Snapshot();
+  ASSERT_EQ(traces.size(), synced.size());
+  telemetry::OpCounts trace_switch, trace_server;
+  int committed_misses = 0, refresh_only_misses = 0;
+  for (size_t i = 0; i < traces.size(); ++i) {
+    const telemetry::PacketTrace& trace = traces[i];
+    for (const auto& hop : trace.hops) {
+      if (hop.stage.rfind("switch.", 0) == 0) trace_switch += hop.ops;
+      if (hop.stage.rfind("server", 0) == 0) trace_server += hop.ops;
+    }
+    if (!trace.cache_miss) continue;
+    // The aborted pre attempt is a hop of its own, with its op counts. A new
+    // flow's insert holds the packet for the sync commit; a pure cache
+    // refresh is synced too, but without holding the packet or a hop.
+    EXPECT_GT(trace.hops.front().ops.insts, 0);
+    if (synced[i]) {
+      ++committed_misses;
+      EXPECT_EQ(trace.PathString(),
+                "switch.pre -> server.cache_recovery -> sync.commit -> "
+                "wire.to_switch -> switch.post");
+    } else {
+      ++refresh_only_misses;
+      EXPECT_EQ(trace.PathString(),
+                "switch.pre -> server.cache_recovery -> wire.to_switch -> "
+                "switch.post");
+    }
+  }
+  EXPECT_GT(committed_misses, 0);
+  EXPECT_GT(refresh_only_misses, 0);
+  EXPECT_EQ(static_cast<uint64_t>(committed_misses + refresh_only_misses),
+            (*mbx)->cache_miss_aborts());
+  EXPECT_EQ(trace_switch, switch_total);
+  EXPECT_EQ(trace_server, server_total);
 }
 
 TEST(TableCache, DisabledModeUnaffected) {

@@ -47,6 +47,10 @@ struct ChaosCase {
   workload::TraceOptions trace;
 };
 
+// gtest would otherwise print the parameter's raw bytes (heap pointers
+// included) into the test listing, and ctest names would change per build.
+void PrintTo(const ChaosCase& c, std::ostream* os) { *os << c.name; }
+
 std::vector<ChaosCase> MakeCases() {
   std::vector<ChaosCase> cases;
   {

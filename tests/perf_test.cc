@@ -11,8 +11,8 @@ namespace {
 
 TEST(CostModel, CyclesMonotonicInOpsAndBytes) {
   CostModel cost;
-  runtime::ExecStats none;
-  runtime::ExecStats some;
+  telemetry::OpCounts none;
+  telemetry::OpCounts some;
   some.map_lookups = 2;
   some.alu_ops = 10;
   EXPECT_GT(cost.PacketCycles(some, 100, 0), cost.PacketCycles(none, 100, 0));
@@ -21,7 +21,7 @@ TEST(CostModel, CyclesMonotonicInOpsAndBytes) {
 
 TEST(CostModel, PayloadScanScalesWithBytes) {
   CostModel cost;
-  runtime::ExecStats dpi;
+  telemetry::OpCounts dpi;
   dpi.payload_ops = 1;
   const double small = cost.PacketCycles(dpi, 100, 100);
   const double large = cost.PacketCycles(dpi, 100, 1400);
@@ -36,7 +36,7 @@ TEST(CostModel, WireTimeMatchesLineRate) {
 
 TEST(Latency, FastClickLandsNearPaperValues) {
   CostModel cost;
-  runtime::ExecStats stats;
+  telemetry::OpCounts stats;
   stats.map_lookups = 1;
   stats.header_ops = 6;
   stats.alu_ops = 4;
@@ -55,7 +55,7 @@ TEST(Latency, OffloadedLandsNearPaperValues) {
 
 TEST(Latency, ReductionIsAboutThirtyPercent) {
   CostModel cost;
-  runtime::ExecStats stats;
+  telemetry::OpCounts stats;
   stats.map_lookups = 1;
   stats.header_ops = 5;
   const double fc = FastClickLatencyUs(cost, stats, 118);
@@ -65,7 +65,7 @@ TEST(Latency, ReductionIsAboutThirtyPercent) {
 
 TEST(Throughput, ClickScalesWithCores) {
   CostModel cost;
-  runtime::ExecStats stats;
+  telemetry::OpCounts stats;
   stats.map_lookups = 1;
   const double c1 = ClickThroughputGbps(cost, stats, 500, 1);
   const double c2 = ClickThroughputGbps(cost, stats, 500, 2);
@@ -76,7 +76,7 @@ TEST(Throughput, ClickScalesWithCores) {
 
 TEST(Throughput, ClickCappedByLineRate) {
   CostModel cost;
-  runtime::ExecStats trivial;
+  telemetry::OpCounts trivial;
   const double gbps = ClickThroughputGbps(cost, trivial, 1500, 64);
   EXPECT_LE(gbps, 100.0);
 }

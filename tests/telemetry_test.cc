@@ -2,7 +2,7 @@
 // reference, counter atomicity under a multithreaded hammer, exposition
 // formats, and the per-packet trace layer — a golden test that a NAT
 // packet's trace reconstructs the pre -> sync -> server -> post pipeline
-// with op counts matching the interpreter's ExecStats, plus the acceptance
+// with op counts matching the interpreter's, plus the acceptance
 // cross-check that the registry's op totals equal the summed Outcome stats
 // for all five paper middleboxes.
 #include <gtest/gtest.h>
@@ -15,10 +15,8 @@
 #include "mbox/middleboxes.h"
 #include "perf/harness.h"
 #include "runtime/offloaded_middlebox.h"
-#include "sim/event_queue.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
-#include "telemetry/timeline.h"
 #include "telemetry/trace.h"
 #include "workload/packet_gen.h"
 
@@ -352,7 +350,7 @@ TEST(FlightRecorder, EventNamesCoverEveryId) {
   }
 }
 
-// --- Tracer & timeline ---------------------------------------------------------
+// --- Tracer --------------------------------------------------------------------
 
 TEST(Tracer, RingDropsOldestBeyondCapacity) {
   telemetry::Tracer tracer(/*capacity=*/2);
@@ -369,37 +367,10 @@ TEST(Tracer, RingDropsOldestBeyondCapacity) {
   EXPECT_EQ(traces[1].packet_id, 2u);
 }
 
-TEST(Timeline, RecordsSlicesInstantsAndCounters) {
-  telemetry::Timeline timeline;
-  timeline.CompleteEvent("compile", "phase", 0.0, 12.5);
-  timeline.InstantEvent("restart", "fault", 5.0);
-  timeline.CounterSample("queue_depth", 1.0, 3.0);
-  EXPECT_EQ(timeline.size(), 3u);
-  const std::string json = timeline.ToChromeJson();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"compile\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-}
-
-TEST(EventQueue, NamedEventsLeaveTimelineMarkers) {
-  telemetry::Timeline timeline;
-  sim::EventQueue queue;
-  queue.set_timeline(&timeline);
-  int fired = 0;
-  queue.Schedule(10.0, "arrival", [&] { ++fired; });
-  queue.ScheduleAfter(5.0, "sync", [&] { ++fired; });
-  queue.Schedule(1.0, [&] { ++fired; });  // anonymous: no marker
-  queue.Run();
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(timeline.size(), 2u);
-  EXPECT_NE(timeline.ToChromeJson().find("\"arrival\""), std::string::npos);
-}
-
 // --- Per-packet traces through the offloaded runtime -----------------------------
 
 // Golden test: one NAT SYN (slow path, state sync) reconstructs the full
-// pipeline with op counts exactly matching the Outcome's ExecStats; the
+// pipeline with op counts exactly matching the Outcome's op counts; the
 // causally-dependent reply rides the fast path and shows a pre-pass-only
 // trace.
 TEST(PacketTrace, GoldenNatSlowPathReconstruction) {
@@ -430,12 +401,12 @@ TEST(PacketTrace, GoldenNatSlowPathReconstruction) {
             "switch.pre -> wire.to_server -> server -> sync.commit -> "
             "wire.to_switch -> switch.post");
 
-  // Op counts per hop match the interpreter's ExecStats exactly.
+  // Op counts per hop match the interpreter's counts exactly.
   ASSERT_EQ(trace.hops.size(), 6u);
   telemetry::OpCounts switch_ops = trace.hops[0].ops;  // pre
   switch_ops += trace.hops[5].ops;                     // post
-  EXPECT_EQ(switch_ops, runtime::ToOpCounts(out.switch_stats));
-  EXPECT_EQ(trace.hops[2].ops, runtime::ToOpCounts(out.server_stats));
+  EXPECT_EQ(switch_ops, out.switch_stats);
+  EXPECT_EQ(trace.hops[2].ops, out.server_stats);
   EXPECT_EQ(trace.hops[1].transfer_bytes, out.transfer_bytes_to_server);
   EXPECT_EQ(trace.hops[4].transfer_bytes, out.transfer_bytes_to_switch);
   // The sync hop carries the modeled control-plane latency natively.
@@ -454,7 +425,7 @@ TEST(PacketTrace, GoldenNatSlowPathReconstruction) {
   ASSERT_EQ(traces.size(), 2u);
   EXPECT_TRUE(traces[1].fast_path);
   EXPECT_EQ(traces[1].PathString(), "switch.pre");
-  EXPECT_EQ(traces[1].hops[0].ops, runtime::ToOpCounts(out2.switch_stats));
+  EXPECT_EQ(traces[1].hops[0].ops, out2.switch_stats);
 }
 
 // StampTrace prices every unstamped hop with the cost model, keeps the
@@ -497,9 +468,9 @@ TEST(PacketTrace, StampTraceFillsDurations) {
 }
 
 // Acceptance cross-check: for all five paper middleboxes, the registry's
-// per-op-kind totals equal the summed Outcome ExecStats, and every trace
+// per-op-kind totals equal the summed Outcome op counts, and every trace
 // reconstructs a complete pre-first path.
-TEST(PacketTrace, RegistryOpTotalsMatchExecStatsAcrossPaperMiddleboxes) {
+TEST(PacketTrace, RegistryOpTotalsMatchOutcomeOpsAcrossPaperMiddleboxes) {
   struct Entry {
     const char* name;
     std::function<Result<mbox::MiddleboxSpec>()> build;
@@ -529,7 +500,7 @@ TEST(PacketTrace, RegistryOpTotalsMatchExecStatsAcrossPaperMiddleboxes) {
         workload::MakeTrace(rng, trace_options);
     ASSERT_FALSE(workload_trace.packets.empty());
 
-    runtime::ExecStats switch_total, server_total;
+    telemetry::OpCounts switch_total, server_total;
     uint64_t now_ms = 0, processed = 0;
     for (const net::Packet& pkt : workload_trace.packets) {
       if (processed >= 200) break;
@@ -540,9 +511,9 @@ TEST(PacketTrace, RegistryOpTotalsMatchExecStatsAcrossPaperMiddleboxes) {
       server_total += out.server_stats;
     }
 
-    // Registry totals (the OpCountsRecorder counters) == summed ExecStats.
-    EXPECT_EQ((*mbx)->switch_op_totals(), runtime::ToOpCounts(switch_total));
-    EXPECT_EQ((*mbx)->server_op_totals(), runtime::ToOpCounts(server_total));
+    // Registry totals (the OpCountsRecorder counters) == summed Outcomes.
+    EXPECT_EQ((*mbx)->switch_op_totals(), switch_total);
+    EXPECT_EQ((*mbx)->server_op_totals(), server_total);
     EXPECT_EQ((*mbx)->packets_total(), processed);
 
     // Every trace reconstructs a complete path, and the per-hop op counts
@@ -565,8 +536,8 @@ TEST(PacketTrace, RegistryOpTotalsMatchExecStatsAcrossPaperMiddleboxes) {
         }
       }
     }
-    EXPECT_EQ(trace_switch_ops, runtime::ToOpCounts(switch_total));
-    EXPECT_EQ(trace_server_ops, runtime::ToOpCounts(server_total));
+    EXPECT_EQ(trace_switch_ops, switch_total);
+    EXPECT_EQ(trace_server_ops, server_total);
   }
 }
 

@@ -176,14 +176,6 @@ TEST(Strings, StrJoin) {
   EXPECT_EQ(StrJoin(std::vector<std::string>{}, ","), "");
 }
 
-TEST(Strings, StrSplit) {
-  const auto parts = StrSplit("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(parts[3], "c");
-}
-
 TEST(Strings, StartsEndsWith) {
   EXPECT_TRUE(StartsWith("gallium", "gal"));
   EXPECT_FALSE(StartsWith("gal", "gallium"));
