@@ -15,6 +15,17 @@ side's median and quartiles, the median of the per-seed head/base ratios
 with a bootstrap 90% interval, and on how many pairs head was better
 (direction from BENCHMARK.json; "?" for metrics it does not list). Failed
 operations are reported as fail_frac per side. Stdlib only.
+
+--expect turns the report into a gate on the head/base ratio (repeatable):
+
+    --expect 'throughput>=1.3'  pass only if the 90% interval's lower end
+                                is >= 1.3 ('<=' bounds the upper end)
+    --expect 'op_us_p99~'       no regression: fail when the median ratio is
+                                worse than the metric's BENCHMARK.json bound
+
+Each expectation prints one line ending in pass, fail or unresolved (the
+interval straddles the threshold). The script exits 1 when a '>='/'<='
+expectation is not a pass or a '~' expectation is a fail.
 """
 
 import argparse
@@ -22,6 +33,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import statistics
 import subprocess
@@ -72,17 +84,58 @@ def run_once(tree, build_dir, workload, seed, seconds, log):
     return values
 
 
-def directions():
+def benchmark_spec():
+    """Returns ({metric: "higher"|"lower"}, {end-to-end metric: bound})."""
     try:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
             spec = json.load(f)
     except (OSError, ValueError):
-        return {}
-    out = {"fail_frac": "lower"}
+        return {}, {}
+    better = {"fail_frac": "lower"}
+    bounds = {}
     for group in ("end_to_end", "per_layer"):
         for metric in spec.get(group, []):
-            out[metric["name"]] = metric["better"]
-    return out
+            better[metric["name"]] = metric["better"]
+            if "bound" in metric:
+                bounds[metric["name"]] = metric["bound"]
+    return better, bounds
+
+
+EXPECT_RE = re.compile(r"^([\w.]+)(?:(>=|<=)([0-9]*\.?[0-9]+)|(~))$")
+
+
+def parse_expect(text):
+    match = EXPECT_RE.match(text)
+    if match is None:
+        raise argparse.ArgumentTypeError(
+            f"bad --expect {text!r}: want NAME>=X, NAME<=X or NAME~")
+    name, op, value, tilde = match.groups()
+    return (name, tilde or op, float(value) if value else None)
+
+
+def check_expectation(expect, stats, better, bounds):
+    """Returns (status, detail) for one --expect against the ratio stats."""
+    name, op, value = expect
+    if name not in stats or stats[name] is None:
+        return "fail", "no head/base ratio for this metric"
+    median, lo, hi = stats[name]
+    interval = f"median {median:.3f}, 90% [{lo:.3f}, {hi:.3f}]"
+    if op == ">=":
+        status = "pass" if lo >= value else "unresolved" if hi >= value else "fail"
+        return status, f"{interval} vs >= {value:g}"
+    if op == "<=":
+        status = "pass" if hi <= value else "unresolved" if lo <= value else "fail"
+        return status, f"{interval} vs <= {value:g}"
+    if name not in bounds or name not in better:
+        return "fail", "BENCHMARK.json gives this metric no bound"
+    if better[name] == "higher":
+        limit = 1 - bounds[name]
+        worse, clear = median < limit, lo >= limit
+    else:
+        limit = 1 + bounds[name]
+        worse, clear = median > limit, hi <= limit
+    status = "fail" if worse else "pass" if clear else "unresolved"
+    return status, f"{interval} vs bound {limit:.3f} ({better[name]} is better)"
 
 
 def median_and_quartiles(values):
@@ -107,6 +160,9 @@ def main():
     parser.add_argument("--seeds", type=int, default=5)
     parser.add_argument("--seconds", type=int, default=3)
     parser.add_argument("--target-dir", default=os.path.join(ROOT, ".bench_ab"))
+    parser.add_argument("--expect", action="append", default=[],
+                        type=parse_expect, metavar="NAME>=X|NAME<=X|NAME~",
+                        help="gate the head/base ratio (see the module doc)")
     args = parser.parse_args()
 
     target_dir = os.path.abspath(args.target_dir)
@@ -122,8 +178,9 @@ def main():
                 runs[side].append(run_once(*sides[side], args.workload, seed,
                                            args.seconds, log))
 
-    better = directions()
+    better, bounds = benchmark_spec()
     rng = random.Random(0)
+    stats = {}
     print(f"workload {args.workload}, {args.seeds} seeds x {args.seconds} s, "
           f"ABBA; base {sha[:12]} vs head (working tree)")
     print(f"{'metric':<20} {'base median [q1, q3]':>32} "
@@ -135,9 +192,11 @@ def main():
         ratios = [h / b for b, h in zip(base, head) if b != 0]
         if ratios:
             lo, hi = bootstrap_interval(ratios, rng)
-            ratio = f"{statistics.median(ratios):.3f}"
+            stats[name] = (statistics.median(ratios), lo, hi)
+            ratio = f"{stats[name][0]:.3f}"
             interval = f"[{lo:.3f}, {hi:.3f}]"
         else:
+            stats[name] = None
             ratio, interval = "-", "-"
         direction = better.get(name)
         if direction is None:
@@ -149,7 +208,15 @@ def main():
         print(f"{name:<20} {median_and_quartiles(base):>32} "
               f"{median_and_quartiles(head):>32} {ratio:>10} {interval:>18} "
               f"{wins:>12}")
-    return 0
+
+    failed = False
+    for expect in args.expect:
+        status, detail = check_expectation(expect, stats, better, bounds)
+        name, op, value = expect
+        text = name + op + (f"{value:g}" if value is not None else "")
+        print(f"expect {text}: {detail}: {status}")
+        failed |= status == "fail" or (op != "~" and status != "pass")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -108,14 +108,13 @@ OffloadedMiddlebox::OffloadedMiddlebox(const mbox::MiddleboxSpec& spec,
     options_.health.flight_lane = flight_lane_;
     watchdog_ = std::make_unique<HealthWatchdog>(options_.health);
   }
-  // Exact-match host maps get per-map instruments scoped {mbox,...,map} and
-  // record resize/stash/sweep transitions on this instance's lane.
+  // Host maps get per-map instruments scoped {mbox,...,map} and record
+  // resize/stash/sweep transitions on this instance's lane.
   for (ir::StateIndex m = 0; m < fn_->maps().size(); ++m) {
-    state::FlowTable* table = server_state_.flow_table(m);
-    if (table == nullptr) continue;
     telemetry::LabelSet labels = scope_;
     labels.push_back({"map", fn_->maps()[m].name});
-    table->AttachTelemetry(registry_, labels, flight_, flight_lane_);
+    server_state_.flow_table(m)->AttachTelemetry(registry_, labels, flight_,
+                                                 flight_lane_);
   }
 }
 
@@ -500,8 +499,7 @@ void OffloadedMiddlebox::PublishSwitchStageMetrics() {
   // Flow-table occupancy gauges + bounded probe-length sample per map, and
   // the recorder's own ring self-metrics.
   for (ir::StateIndex m = 0; m < fn_->maps().size(); ++m) {
-    state::FlowTable* table = server_state_.flow_table(m);
-    if (table != nullptr) table->PublishMetrics();
+    server_state_.flow_table(m)->PublishMetrics();
   }
   flight_->PublishMetrics(registry_);
 }
@@ -922,40 +920,27 @@ Result<int> OffloadedMiddlebox::CollectIdleFlows(ir::StateIndex flows_map,
                                                  uint64_t now_ms,
                                                  uint64_t timeout_ms,
                                                  uint64_t max_scan_slots) {
+  // Sweep the flat table directly: expired entries are erased from
+  // created_map in place (no snapshot, no per-entry rehash), and the keys
+  // collected for the flows_map erase + switch sync below.
   std::vector<StateKey> expired;
   state::FlowTable* created = server_state_.flow_table(created_map);
-  if (created != nullptr) {
-    // Sweep the flat table directly: expired entries are erased from
-    // created_map in place (no snapshot, no per-entry rehash), and the keys
-    // collected for the flows_map erase + switch sync below.
-    const bool has_stamp = created->value_words() > 0;
-    const size_t kw = created->key_words();
-    const auto pred = [&](const uint64_t*, const uint64_t* value) {
-      return has_stamp && now_ms - value[0] >= timeout_ms;
-    };
-    const auto on_expire = [&](const uint64_t* key, const uint64_t*) {
-      expired.emplace_back(key, key + kw);
-    };
-    if (max_scan_slots == 0) {
-      created->SweepAllExpired(pred, on_expire);
-    } else {
-      if (aging_cursor_map_ != created_map) {
-        aging_cursor_ = state::FlowTable::SweepCursor{};
-        aging_cursor_map_ = created_map;
-      }
-      created->SweepExpired(&aging_cursor_, max_scan_slots, pred, on_expire);
-    }
+  const bool has_stamp = created->value_words() > 0;
+  const size_t kw = created->key_words();
+  const auto pred = [&](const uint64_t*, const uint64_t* value) {
+    return has_stamp && now_ms - value[0] >= timeout_ms;
+  };
+  const auto on_expire = [&](const uint64_t* key, const uint64_t*) {
+    expired.emplace_back(key, key + kw);
+  };
+  if (max_scan_slots == 0) {
+    created->SweepAllExpired(pred, on_expire);
   } else {
-    // LPM-backed created_map — not a flow map in practice; keep the
-    // snapshot scan for completeness.
-    for (const auto& [key, value] : server_state_.map_contents(created_map)) {
-      if (!value.empty() && now_ms - value[0] >= timeout_ms) {
-        expired.push_back(key);
-      }
+    if (aging_cursor_map_ != created_map) {
+      aging_cursor_ = state::FlowTable::SweepCursor{};
+      aging_cursor_map_ = created_map;
     }
-    for (const StateKey& key : expired) {
-      server_state_.MapErase(created_map, key);
-    }
+    created->SweepExpired(&aging_cursor_, max_scan_slots, pred, on_expire);
   }
   if (expired.empty()) return 0;
 

@@ -3,22 +3,24 @@
 #include <algorithm>
 #include <cassert>
 
+#include "state/lpm.h"
+
 namespace gallium::runtime {
 
 HostStateStore::HostStateStore(const ir::Function& fn, uint64_t flow_capacity)
     : fn_(&fn) {
-  maps_.resize(fn.maps().size());
+  maps_.reserve(fn.maps().size());
   for (size_t m = 0; m < fn.maps().size(); ++m) {
     const ir::MapDecl& decl = fn.map(m);
-    if (decl.is_lpm()) continue;  // ordered {prefix, len} store
     state::FlowTable::Config config;
-    config.key_words = decl.key_widths.size();
+    config.key_words =
+        decl.is_lpm() ? state::kLpmKeyWords : decl.key_widths.size();
     config.value_words = decl.value_widths.size();
     if (flow_capacity > 0) config.initial_capacity = flow_capacity;
     // Per-map seed: two maps holding the same keys (flows + creation times)
     // should not collide in lockstep.
     config.hash_seed = 0x9e3779b97f4a7c15ull ^ (0x100000001b3ull * (m + 1));
-    maps_[m].flat = std::make_unique<state::FlowTable>(config);
+    maps_.emplace_back(config);
   }
   vectors_.resize(fn.vectors().size());
   globals_.resize(fn.globals().size());
@@ -29,68 +31,46 @@ HostStateStore::HostStateStore(const ir::Function& fn, uint64_t flow_capacity)
 
 bool HostStateStore::MapLookup(ir::StateIndex map, const StateKey& key,
                                StateValue* values) {
-  MapStore& ms = maps_[map];
-  const ir::MapDecl& decl = fn_->map(map);
-  if (decl.is_lpm()) {
-    // Entries are stored as {prefix, prefix_len}; the lookup key is the
-    // single address. Scan from the most to the least specific prefix.
-    const uint64_t addr = key.empty() ? 0 : key[0];
-    lpm_key_.assign(2, 0);
-    for (int len = 32; len >= 0; --len) {
-      const uint64_t mask =
-          len == 0 ? 0 : (~0ull << (32 - len)) & 0xffffffffull;
-      lpm_key_[0] = addr & mask;
-      lpm_key_[1] = static_cast<uint64_t>(len);
-      const auto it = ms.lpm.find(lpm_key_);
-      if (it != ms.lpm.end()) {
-        *values = it->second;
-        return true;
-      }
-    }
-    values->assign(decl.value_widths.size(), 0);
-    return false;
+  const state::FlowTable& table = maps_[map];
+  values->resize(table.value_words());
+  bool hit = false;
+  if (fn_->map(map).is_lpm()) {
+    // The lookup key is the single address; entries are {prefix, len}.
+    hit = state::LongestPrefixMatch(
+        key.empty() ? 0 : key[0], [&](const uint64_t* entry) {
+          return table.Lookup(entry, values->data());
+        });
+  } else {
+    assert(key.size() == table.key_words());
+    hit = key.size() == table.key_words() &&
+          table.Lookup(key.data(), values->data());
   }
-  assert(key.size() == decl.key_widths.size());
-  values->resize(decl.value_widths.size());
-  if (key.size() != decl.key_widths.size() ||
-      !ms.flat->Lookup(key.data(), values->data())) {
-    std::fill(values->begin(), values->end(), 0);
-    return false;
-  }
-  return true;
+  if (!hit) std::fill(values->begin(), values->end(), 0);
+  return hit;
 }
 
 void HostStateStore::MapInsert(ir::StateIndex map, const StateKey& key,
                                const StateValue& values) {
-  assert(values.size() == fn_->map(map).value_widths.size());
-  MapStore& ms = maps_[map];
-  if (ms.flat == nullptr) {
-    ms.lpm[key] = values;
-    return;
-  }
-  assert(key.size() == fn_->map(map).key_widths.size());
-  if (key.size() != fn_->map(map).key_widths.size()) return;
-  ms.flat->Upsert(key.data(), values.data());
+  state::FlowTable& table = maps_[map];
+  assert(key.size() == table.key_words());
+  assert(values.size() == table.value_words());
+  if (key.size() != table.key_words()) return;
+  table.Upsert(key.data(), values.data());
 }
 
 void HostStateStore::MapErase(ir::StateIndex map, const StateKey& key) {
-  MapStore& ms = maps_[map];
-  if (ms.flat == nullptr) {
-    ms.lpm.erase(key);
-    return;
-  }
-  if (key.size() != fn_->map(map).key_widths.size()) return;
-  ms.flat->Erase(key.data());
+  state::FlowTable& table = maps_[map];
+  if (key.size() != table.key_words()) return;
+  table.Erase(key.data());
 }
 
 std::map<StateKey, StateValue> HostStateStore::map_contents(
     ir::StateIndex map) const {
-  const MapStore& ms = maps_[map];
-  if (ms.flat == nullptr) return ms.lpm;
   std::map<StateKey, StateValue> sorted;
-  const size_t kw = ms.flat->key_words();
-  const size_t vw = ms.flat->value_words();
-  ms.flat->ForEach([&](const uint64_t* key, const uint64_t* value) {
+  const state::FlowTable& table = maps_[map];
+  const size_t kw = table.key_words();
+  const size_t vw = table.value_words();
+  table.ForEach([&](const uint64_t* key, const uint64_t* value) {
     sorted.emplace(StateKey(key, key + kw), StateValue(value, value + vw));
   });
   return sorted;
@@ -99,16 +79,12 @@ std::map<StateKey, StateValue> HostStateStore::map_contents(
 void HostStateStore::ForEachMapEntry(
     ir::StateIndex map,
     const std::function<void(const StateKey&, const StateValue&)>& fn) const {
-  const MapStore& ms = maps_[map];
-  if (ms.flat == nullptr) {
-    for (const auto& [key, value] : ms.lpm) fn(key, value);
-    return;
-  }
-  const size_t kw = ms.flat->key_words();
-  const size_t vw = ms.flat->value_words();
+  const state::FlowTable& table = maps_[map];
+  const size_t kw = table.key_words();
+  const size_t vw = table.value_words();
   StateKey key_scratch(kw);
   StateValue value_scratch(vw);
-  ms.flat->ForEach([&](const uint64_t* key, const uint64_t* value) {
+  table.ForEach([&](const uint64_t* key, const uint64_t* value) {
     key_scratch.assign(key, key + kw);
     value_scratch.assign(value, value + vw);
     fn(key_scratch, value_scratch);

@@ -6,18 +6,18 @@
 // (switchsim::SwitchStateBackend). Both implement the same interface so the
 // semantics of a map lookup are identical on either device.
 //
-// Exact-match maps live on flat cuckoo flow tables (state::FlowTable):
-// inline key/value storage, O(1) lookups, incremental resize — sized for
-// 10M+ concurrent flows. LPM maps keep the ordered-map representation (the
-// lookup is a longest-prefix probe ladder, not a hash). Iteration over a
-// flow table is UNORDERED; any consumer that needs determinism goes through
-// map_contents(), which returns an explicitly sorted snapshot.
+// Every map lives on a flat cuckoo flow table (state::FlowTable): inline
+// key/value storage, O(1) lookups, incremental resize — sized for 10M+
+// concurrent flows. An LPM map stores its routes under 2-word
+// {prefix, prefix_len} keys, and a lookup walks state::LongestPrefixMatch's
+// prefix ladder over them. Iteration over a flow table is UNORDERED; any
+// consumer that needs determinism goes through map_contents(), which
+// returns an explicitly sorted snapshot.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "ir/function.h"
@@ -64,8 +64,8 @@ class GlobalOverlay {
 // non-offloaded server partition).
 class HostStateStore : public StateBackend {
  public:
-  // `flow_capacity` preallocates each exact-match map's flow table for that
-  // many entries (galliumc --flow-capacity); 0 picks a small default and
+  // `flow_capacity` preallocates each map's flow table for that many
+  // entries (galliumc --flow-capacity); 0 picks a small default and
   // lets the tables grow incrementally under churn.
   explicit HostStateStore(const ir::Function& fn, uint64_t flow_capacity = 0);
 
@@ -91,13 +91,11 @@ class HostStateStore : public StateBackend {
       ir::StateIndex map,
       const std::function<void(const StateKey&, const StateValue&)>& fn) const;
 
-  // The flat flow table backing an exact-match map — batched-aging sweeps
-  // and benches reach through this. Null for LPM maps.
-  state::FlowTable* flow_table(ir::StateIndex map) {
-    return maps_[map].flat.get();
-  }
+  // The flat flow table backing a map — batched-aging sweeps and benches
+  // reach through this. Its key_words() is 2 for an LPM map.
+  state::FlowTable* flow_table(ir::StateIndex map) { return &maps_[map]; }
   const state::FlowTable* flow_table(ir::StateIndex map) const {
-    return maps_[map].flat.get();
+    return &maps_[map];
   }
 
   std::vector<uint64_t>& vector_contents(ir::StateIndex vec) {
@@ -118,25 +116,14 @@ class HostStateStore : public StateBackend {
   // The overlay is seeded with the store's current value.
   void DelegateGlobal(ir::StateIndex g, GlobalOverlay* overlay);
 
-  size_t MapSize(ir::StateIndex map) const {
-    const MapStore& ms = maps_[map];
-    return ms.flat != nullptr ? ms.flat->size() : ms.lpm.size();
-  }
+  size_t MapSize(ir::StateIndex map) const { return maps_[map].size(); }
 
  private:
-  // Exact maps sit on the flat cuckoo table; LPM maps keep the ordered map
-  // (entries are {prefix, prefix_len} pairs probed most-specific-first).
-  struct MapStore {
-    std::unique_ptr<state::FlowTable> flat;
-    std::map<StateKey, StateValue> lpm;
-  };
-
   const ir::Function* fn_;
-  std::vector<MapStore> maps_;
+  std::vector<state::FlowTable> maps_;  // never resized after construction
   std::vector<std::vector<uint64_t>> vectors_;
   std::vector<uint64_t> globals_;
   std::vector<GlobalOverlay*> delegated_;
-  StateKey lpm_key_;  // lookup scratch: LPM probes must not allocate
 };
 
 // Wraps another backend and records every mutation to a watched subset of

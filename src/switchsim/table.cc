@@ -2,7 +2,25 @@
 
 #include <algorithm>
 
+#include "state/lpm.h"
+
 namespace gallium::switchsim {
+
+namespace {
+
+// Start small and grow incrementally toward max_entries — switch tables are
+// declared at paper-scale capacities that most runs never fill.
+state::FlowTable::Config MainConfig(size_t key_words, size_t value_words,
+                                    uint64_t max_entries) {
+  state::FlowTable::Config config;
+  config.key_words = key_words;
+  config.value_words = value_words;
+  config.initial_capacity =
+      std::min<uint64_t>(std::max<uint64_t>(max_entries, 16), 1024);
+  return config;
+}
+
+}  // namespace
 
 ExactMatchTable::ExactMatchTable(std::string name, size_t key_words,
                                  size_t value_words, uint64_t max_entries,
@@ -10,93 +28,39 @@ ExactMatchTable::ExactMatchTable(std::string name, size_t key_words,
     : name_(std::move(name)),
       // LPM entries are stored under {prefix, prefix_len}; data-plane
       // lookups still present a single address word.
-      key_words_(match_kind == MatchKind::kLpm ? 2 : key_words),
+      key_words_(match_kind == MatchKind::kLpm ? state::kLpmKeyWords
+                                               : key_words),
       value_words_(value_words),
       max_entries_(max_entries),
-      match_kind_(match_kind) {
-  if (match_kind_ == MatchKind::kExact) {
-    state::FlowTable::Config config;
-    config.key_words = key_words_;
-    config.value_words = value_words_;
-    // Start small and grow incrementally toward max_entries — switch tables
-    // are declared at paper-scale capacities that most runs never fill.
-    config.initial_capacity = std::min<uint64_t>(
-        std::max<uint64_t>(max_entries_, 16), 1024);
-    flat_ = std::make_unique<state::FlowTable>(config);
-  }
-}
+      match_kind_(match_kind),
+      main_(MainConfig(key_words_, value_words_, max_entries_)) {}
 
-bool ExactMatchTable::MainContains(const TableKey& key) const {
-  if (flat_ != nullptr) {
-    return key.size() == key_words_ && flat_->Contains(key.data());
-  }
-  return main_.count(key) > 0;
-}
-
-void ExactMatchTable::MainUpsert(const TableKey& key, const TableValue& value) {
-  if (flat_ != nullptr) {
-    flat_->Upsert(key.data(), value.data());
-    return;
-  }
-  main_[key] = value;
-}
-
-bool ExactMatchTable::MainErase(const TableKey& key) {
-  if (flat_ != nullptr) {
-    return key.size() == key_words_ && flat_->Erase(key.data());
-  }
-  return main_.erase(key) > 0;
-}
-
-bool ExactMatchTable::Lookup(const TableKey& key, TableValue* value) const {
-  if (match_kind_ == MatchKind::kLpm) {
-    // Scan from the most specific prefix; at each length a staged entry
-    // (when the write-back window is open) overrides the main table —
-    // including staged deletions, which make that prefix fall through to
-    // shorter ones.
-    const uint64_t addr = key.empty() ? 0 : key[0];
-    for (int len = 32; len >= 0; --len) {
-      const uint64_t mask =
-          len == 0 ? 0 : (~0ull << (32 - len)) & 0xffffffffull;
-      const TableKey entry_key = {addr & mask, static_cast<uint64_t>(len)};
-      if (use_write_back_) {
-        const auto staged = write_back_.find(entry_key);
-        if (staged != write_back_.end()) {
-          if (!staged->second.has_value()) continue;  // staged deletion
-          *value = *staged->second;
-          return true;
-        }
-      }
-      const auto it = main_.find(entry_key);
-      if (it != main_.end()) {
-        *value = it->second;
-        return true;
-      }
-    }
-    value->assign(value_words_, 0);
-    return false;
-  }
+bool ExactMatchTable::Probe(const uint64_t* key, uint64_t* value) const {
   if (use_write_back_) {
-    const auto it = write_back_.find(key);
+    const auto it = write_back_.find(TableKey(key, key + key_words_));
     if (it != write_back_.end()) {
-      if (!it->second.has_value()) {  // staged deletion
-        value->assign(value_words_, 0);
-        return false;
-      }
-      *value = *it->second;
+      if (!it->second.has_value()) return false;  // staged deletion
+      std::copy(it->second->begin(), it->second->end(), value);
       return true;
     }
   }
-  if (key.size() != key_words_) {
-    value->assign(value_words_, 0);
-    return false;
-  }
+  return main_.Lookup(key, value);
+}
+
+bool ExactMatchTable::Lookup(const TableKey& key, TableValue* value) const {
   value->resize(value_words_);
-  if (!flat_->Lookup(key.data(), value->data())) {
-    std::fill(value->begin(), value->end(), 0);
-    return false;
-  }
-  return true;
+  // An LPM lookup scans from the most specific prefix; a staged deletion
+  // misses at its length and so falls through to shorter prefixes.
+  const bool hit =
+      match_kind_ == MatchKind::kLpm
+          ? state::LongestPrefixMatch(
+                key.empty() ? 0 : key[0],
+                [&](const uint64_t* entry) {
+                  return Probe(entry, value->data());
+                })
+          : key.size() == key_words_ && Probe(key.data(), value->data());
+  if (!hit) std::fill(value->begin(), value->end(), 0);
+  return hit;
 }
 
 Status ExactMatchTable::Stage(const TableKey& key,
@@ -123,7 +87,7 @@ Status ExactMatchTable::CheckStagedFits() const {
   // Near capacity: replay ApplyStagedToMain's iteration on entry counts.
   uint64_t entries = size();
   for (const auto& [key, value] : write_back_) {
-    const bool resident = MainContains(key);
+    const bool resident = main_.Contains(key.data());
     if (!value.has_value()) {
       entries -= resident ? 1 : 0;
     } else if (!resident) {
@@ -141,13 +105,13 @@ Status ExactMatchTable::ApplyStagedToMain() {
   GALLIUM_RETURN_IF_ERROR(CheckStagedFits());
   for (auto& [key, value] : write_back_) {
     if (value.has_value()) {
-      if (fifo_eviction_ && !MainContains(key)) {
+      if (fifo_eviction_ && !main_.Contains(key.data())) {
         if (size() >= max_entries_) EvictOldest();
         insertion_order_.push_back(key);
       }
-      MainUpsert(key, *value);
+      main_.Upsert(key.data(), value->data());
     } else {
-      MainErase(key);
+      main_.Erase(key.data());
     }
   }
   write_back_.clear();
@@ -158,7 +122,7 @@ void ExactMatchTable::EvictOldest() {
   while (!insertion_order_.empty()) {
     const TableKey victim = insertion_order_.front();
     insertion_order_.erase(insertion_order_.begin());
-    if (MainErase(victim)) {
+    if (main_.Erase(victim.data())) {
       ++evictions_;
       return;
     }
@@ -172,14 +136,15 @@ Status ExactMatchTable::InsertMain(const TableKey& key,
   if (key.size() != key_words_ || value.size() != value_words_) {
     return InvalidArgument("table " + name_ + ": arity mismatch");
   }
-  if (size() >= max_entries_ && !MainContains(key)) {
+  const bool resident = main_.Contains(key.data());
+  if (size() >= max_entries_ && !resident) {
     if (!fifo_eviction_) {
       return ResourceExhausted("table " + name_ + ": table full");
     }
     EvictOldest();
   }
-  if (fifo_eviction_ && !MainContains(key)) insertion_order_.push_back(key);
-  MainUpsert(key, value);
+  if (fifo_eviction_ && !resident) insertion_order_.push_back(key);
+  main_.Upsert(key.data(), value.data());
   return Status::Ok();
 }
 

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,9 +37,7 @@ class ExactMatchTable {
 
   const std::string& name() const { return name_; }
   uint64_t max_entries() const { return max_entries_; }
-  size_t size() const {
-    return flat_ != nullptr ? flat_->size() : main_.size();
-  }
+  size_t size() const { return main_.size(); }
 
   // --- Data plane ------------------------------------------------------------
   // Lookup honoring the use-write-back bit. A staged deletion hides the main
@@ -72,8 +69,7 @@ class ExactMatchTable {
   // Drops every entry (main + staged) and clears the use-write-back bit —
   // what a switch restart or a pre-resync wipe does to the table.
   void Clear() {
-    if (flat_ != nullptr) flat_->Clear();
-    main_.clear();
+    main_.Clear();
     write_back_.clear();
     insertion_order_.clear();
     use_write_back_ = false;
@@ -91,11 +87,10 @@ class ExactMatchTable {
  private:
   // Makes room for one more entry (cache mode only).
   void EvictOldest();
-  // Main-table primitives bridging the two storages (flat for exact tables,
-  // ordered map for LPM).
-  bool MainContains(const TableKey& key) const;
-  void MainUpsert(const TableKey& key, const TableValue& value);
-  bool MainErase(const TableKey& key);
+  // One exact probe of a stored key: the write-back shadow first when the
+  // use-write-back bit is set (a staged deletion is a miss), then the main
+  // table. Fills value_words() words of `value` on a hit.
+  bool Probe(const uint64_t* key, uint64_t* value) const;
 
   std::string name_;
   size_t key_words_;
@@ -106,16 +101,14 @@ class ExactMatchTable {
   bool fifo_eviction_ = false;
   uint64_t evictions_ = 0;
 
-  // Exact tables keep their main entries on the flat cuckoo table (inline
-  // storage, O(1) lookups at 10M+ entries); LPM tables keep the ordered map
-  // (the lookup ladder probes {prefix, len} keys most-specific-first).
-  // Exactly one of the two is populated.
-  std::unique_ptr<state::FlowTable> flat_;
-  std::map<TableKey, TableValue> main_;
+  // Main entries sit on the flat cuckoo table (inline storage, O(1) lookups
+  // at 10M+ entries) whatever the match kind: an LPM table stores its routes
+  // under {prefix, len} keys and walks state::LongestPrefixMatch's ladder.
+  state::FlowTable main_;
   std::vector<TableKey> insertion_order_;  // FIFO for cache eviction
   // The write-back shadow stays ordered: it is capped small (max_entries/4)
-  // and ApplyStagedToMain's deterministic iteration keeps the eviction FIFO
-  // reproducible across runs.
+  // and ApplyStagedToMain's sorted iteration keeps the cache-mode eviction
+  // FIFO reproducible across runs.
   // nullopt value = staged deletion.
   std::map<TableKey, std::optional<TableValue>> write_back_;
 };

@@ -3,6 +3,12 @@
 // artifact with its native lpm match kind).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/compiler.h"
 #include "frontend/middlebox_builder.h"
 #include "ir/builder.h"
@@ -11,6 +17,7 @@
 #include "p4/parser.h"
 #include "runtime/offloaded_middlebox.h"
 #include "runtime/software_middlebox.h"
+#include "runtime/state.h"
 #include "switchsim/table.h"
 #include "workload/packet_gen.h"
 
@@ -132,6 +139,165 @@ TEST(LpmSwitchTable, MatchesLongestAcrossWriteBackWindow) {
   ASSERT_TRUE(table.Stage({net::MakeIpv4(10, 1, 2, 0), 24}, std::nullopt).ok());
   EXPECT_TRUE(table.Lookup({net::MakeIpv4(10, 1, 2, 9)}, &value));
   EXPECT_EQ(value[0], 1u);
+}
+
+// --- Differential: host store vs switch table vs a linear scan ---------------
+
+using Route = std::pair<uint64_t, uint64_t>;  // {prefix, prefix_len}
+using RouteSet = std::map<Route, uint64_t>;   // -> port
+
+uint64_t PrefixMask(uint64_t len) {
+  return len == 0 ? 0 : (0xffffffffull << (32 - len)) & 0xffffffffull;
+}
+
+// The naive reference: scan every route, keep the longest that covers addr.
+struct FlatRoute {
+  uint64_t prefix, mask, len, port;
+};
+bool LinearLongestPrefix(const std::vector<FlatRoute>& routes, uint64_t addr,
+                         uint64_t* port) {
+  int best = -1;
+  for (const FlatRoute& r : routes) {
+    if ((addr & r.mask) == r.prefix && static_cast<int>(r.len) > best) {
+      best = static_cast<int>(r.len);
+      *port = r.port;
+    }
+  }
+  return best >= 0;
+}
+
+// Seeded routes shaped like a router's table: /16..32 prefixes under a few
+// hundred /16s, the default route, host routes, and the same prefix at
+// several lengths.
+RouteSet SeededRoutes(Rng& rng, int count) {
+  RouteSet routes;
+  routes[{0, 0}] = 1;
+  std::vector<uint64_t> sixteens;
+  for (int i = 0; i < 256; ++i) sixteens.push_back(rng.NextU32() & 0xffff0000u);
+  for (uint64_t base : {sixteens[0], sixteens[1]}) {
+    for (uint64_t len : {8, 12, 16, 24, 32}) {
+      routes[{base & PrefixMask(len), len}] = 100 + len;
+    }
+  }
+  while (static_cast<int>(routes.size()) < count) {
+    const uint64_t len = rng.NextBool(0.1) ? rng.NextBounded(33)
+                                           : 16 + rng.NextBounded(17);
+    const uint64_t addr =
+        sixteens[rng.NextBounded(sixteens.size())] | (rng.NextU32() & 0xffff);
+    routes[{addr & PrefixMask(len), len}] = 2 + rng.NextBounded(1u << 20);
+  }
+  return routes;
+}
+
+std::vector<uint64_t> ProbeAddresses(Rng& rng, const RouteSet& routes) {
+  std::vector<uint64_t> probes;
+  for (const auto& [route, value] : routes) {
+    const auto [prefix, len] = route;
+    probes.push_back(prefix);
+    probes.push_back(prefix | (~PrefixMask(len) & 0xffffffffull));
+    probes.push_back((prefix - 1) & 0xffffffffull);
+    probes.push_back(prefix | (rng.NextU32() & ~PrefixMask(len) & 0xffffffffu));
+  }
+  for (int i = 0; i < 512; ++i) probes.push_back(rng.NextU32());
+  return probes;
+}
+
+TEST(LpmDifferential, HostStoreSwitchTableAndLinearScanAgree) {
+  constexpr int kRoutes = 3000;  // past the first grow of either table
+  for (const uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    RouteSet routes = SeededRoutes(rng, kRoutes);
+
+    auto spec = mbox::BuildIpRouter({});
+    ASSERT_TRUE(spec.ok());
+    const ir::StateIndex map = spec->MapIndex("routes");
+    runtime::HostStateStore host(*spec->fn);
+    switchsim::ExactMatchTable table(
+        "routes", 1, 2, /*max_entries=*/4 * kRoutes,
+        switchsim::ExactMatchTable::MatchKind::kLpm);
+    for (const auto& [route, port] : routes) {
+      host.MapInsert(map, {route.first, route.second}, {port, port << 8});
+      ASSERT_TRUE(
+          table.InsertMain({route.first, route.second}, {port, port << 8})
+              .ok());
+    }
+    ASSERT_EQ(host.MapSize(map), routes.size());
+    ASSERT_EQ(table.size(), routes.size());
+    EXPECT_GE(host.flow_table(map)->stats().resizes, 1u);
+
+    // Every view is checked against the linear scan over `want`.
+    const auto check = [&](const RouteSet& want, bool check_host,
+                           const std::string& view) {
+      SCOPED_TRACE(view);
+      std::vector<FlatRoute> flat;
+      for (const auto& [route, port] : want) {
+        flat.push_back({route.first, PrefixMask(route.second), route.second,
+                        port});
+      }
+      Rng probe_rng(seed * 7);
+      for (uint64_t addr : ProbeAddresses(probe_rng, want)) {
+        uint64_t port = 0;
+        const bool hit = LinearLongestPrefix(flat, addr, &port);
+        const runtime::StateValue expect =
+            hit ? runtime::StateValue{port, port << 8}
+                : runtime::StateValue{0, 0};
+        switchsim::TableValue got;
+        ASSERT_EQ(table.Lookup({addr}, &got), hit) << std::hex << addr;
+        ASSERT_EQ(got, expect) << std::hex << addr;
+        if (!check_host) continue;
+        runtime::StateValue host_got;
+        ASSERT_EQ(host.MapLookup(map, {addr}, &host_got), hit)
+            << std::hex << addr;
+        ASSERT_EQ(host_got, expect) << std::hex << addr;
+      }
+    };
+    check(routes, /*check_host=*/true, "installed");
+
+    // Stage overrides, deletes (the default route and a host route among
+    // them) and new routes; apply the same edits to the host and the
+    // reference.
+    RouteSet edited = routes;
+    std::vector<std::pair<Route, std::optional<uint64_t>>> staged;
+    staged.push_back({{0, 0}, std::nullopt});
+    int n = 0;
+    for (const auto& [route, port] : routes) {
+      if (++n % 13 == 0) {
+        staged.push_back({route, std::nullopt});
+      } else if (n % 11 == 0) {
+        staged.push_back({route, port + 7});
+      } else if (route.second == 32 && staged.size() < 8) {
+        staged.push_back({route, std::nullopt});
+      }
+    }
+    for (int i = 0; i < 64; ++i) {
+      const uint64_t len = 20 + rng.NextBounded(13);
+      staged.push_back(
+          {{rng.NextU32() & PrefixMask(len), len}, 5000 + rng.NextBounded(99)});
+    }
+    for (const auto& [route, port] : staged) {
+      const runtime::StateKey key = {route.first, route.second};
+      if (port.has_value()) {
+        ASSERT_TRUE(table.Stage(key, switchsim::TableValue{*port, *port << 8})
+                        .ok());
+        host.MapInsert(map, key, {*port, *port << 8});
+        edited[route] = *port;
+      } else {
+        ASSERT_TRUE(table.Stage(key, std::nullopt).ok());
+        host.MapErase(map, key);
+        edited.erase(route);
+      }
+    }
+    ASSERT_EQ(host.MapSize(map), edited.size());
+
+    check(routes, /*check_host=*/false, "staged, window closed");
+    table.SetUseWriteBack(true);
+    check(edited, /*check_host=*/true, "staged, window open");
+    ASSERT_TRUE(table.ApplyStagedToMain().ok());
+    table.SetUseWriteBack(false);
+    ASSERT_EQ(table.size(), edited.size());
+    check(edited, /*check_host=*/true, "applied");
+  }
 }
 
 // --- Full pipeline --------------------------------------------------------------

@@ -4,6 +4,7 @@
 // load balancer's maintenance path.
 #include <gtest/gtest.h>
 
+#include "frontend/middlebox_builder.h"
 #include "mbox/middleboxes.h"
 #include "runtime/offloaded_middlebox.h"
 #include "runtime/software_middlebox.h"
@@ -357,6 +358,187 @@ TEST(Offloaded, IdleFlowCollectionErasesSameKeysOnSwitchReplica) {
       EXPECT_TRUE(table->Lookup(key, &replica)) << "map " << map;
     }
   }
+}
+
+// A map the switch reads and the server writes (so it is replicated), plus
+// a replicated global on one branch. Packets from the internal port write
+// the map only, which the sync queue may defer; packets from any other port
+// also bump the global, which keeps the commit inline.
+Result<mbox::MiddleboxSpec> BuildQueuedAndInlineWriter() {
+  frontend::MiddleboxBuilder mb("queued_and_inline");
+  auto ports = mb.DeclareMap("ports", {ir::Width::kU16}, {ir::Width::kU16},
+                             /*max_entries=*/1024);
+  auto counter = mb.DeclareGlobal("counter", ir::Width::kU16, /*init=*/0);
+  auto& b = mb.b();
+  const ir::Reg ingress = b.HeaderRead(ir::HeaderField::kIngressPort, "in");
+  const ir::Reg sport = b.HeaderRead(ir::HeaderField::kSrcPort, "sport");
+  const ir::Reg dport = b.HeaderRead(ir::HeaderField::kDstPort, "dport");
+  const auto seen = ports.Find({ir::R(dport)}, "seen");
+  const ir::Reg internal = b.Alu(ir::AluOp::kEq, ir::R(ingress),
+                                 ir::Imm(mbox::kPortInternal), "internal");
+  mb.IfElse(
+      ir::R(internal),
+      [&] {
+        ports.Insert({ir::R(dport)}, {ir::R(sport)});
+        b.HeaderWrite(ir::HeaderField::kSrcPort, ir::R(seen.values[0]));
+        b.Send(ir::Imm(mbox::kPortExternal));
+        b.Ret();
+      },
+      [&] {
+        const ir::Reg cur = counter.Read("cur");
+        const ir::Reg next = b.Alu(ir::AluOp::kAdd, ir::R(cur), ir::Imm(1),
+                                   ir::Width::kU16, "next");
+        counter.Write(ir::R(next));
+        ports.Insert({ir::R(dport)}, {ir::R(sport)});
+        b.HeaderWrite(ir::HeaderField::kSrcPort, ir::R(cur));
+        b.Send(ir::Imm(mbox::kPortInternal));
+        b.Ret();
+      });
+  mbox::MiddleboxSpec spec;
+  spec.name = "queued_and_inline";
+  GALLIUM_ASSIGN_OR_RETURN(spec.fn, std::move(mb).Finish());
+  return spec;
+}
+
+net::Packet PortsPacket(uint32_t ingress, uint16_t sport, uint16_t dport) {
+  net::Packet pkt = net::MakeTcpPacket(
+      {net::MakeIpv4(10, 0, 0, 1), net::MakeIpv4(10, 0, 0, 2), sport, dport,
+       net::kIpProtoTcp},
+      net::kTcpAck, 0);
+  pkt.set_ingress_port(ingress);
+  return pkt;
+}
+
+TEST(Offloaded, InlineCommitLandsAfterOlderQueuedWrites) {
+  auto spec = BuildQueuedAndInlineWriter();
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const ir::StateIndex ports = spec->MapIndex("ports");
+  OffloadedOptions options;
+  options.sync_queue.max_backlog_batches = 64;
+  options.sync_queue.pump_interval_packets = 1000;  // never pumps on its own
+  auto mbx = OffloadedMiddlebox::Create(*spec, options);
+  ASSERT_TRUE(mbx.ok()) << mbx.status().ToString();
+  ASSERT_EQ((*mbx)->plan().state_placement.at(
+                {ir::StateRef::Kind::kMap, ports}),
+            partition::StatePlacement::kReplicated)
+      << (*mbx)->plan().Summary(*spec->fn);
+
+  // Older: a map-only write of key 80, deferred into the backlog.
+  auto queued = (*mbx)->Process(PortsPacket(mbox::kPortInternal, 1, 80));
+  ASSERT_TRUE(queued.status.ok()) << queued.status.ToString();
+  ASSERT_TRUE(queued.sync_queued);
+  // Later: the same key plus the global, committed inline. The backlog must
+  // reach the switch first, or its stale write lands last.
+  auto inline_commit = (*mbx)->Process(PortsPacket(mbox::kPortExternal, 2, 80));
+  ASSERT_TRUE(inline_commit.status.ok()) << inline_commit.status.ToString();
+  ASSERT_FALSE(inline_commit.sync_queued);
+  ASSERT_TRUE(inline_commit.state_synced);
+  (*mbx)->FlushSyncBacklog();
+
+  StateValue host;
+  ASSERT_TRUE((*mbx)->server_state().MapLookup(ports, {80}, &host));
+  EXPECT_EQ(host, StateValue({2}));
+  switchsim::TableValue replica;
+  ASSERT_TRUE((*mbx)->device().table(ports)->Lookup({80}, &replica));
+  EXPECT_EQ(replica, host) << "an older queued write overtook the inline batch";
+}
+
+// A flow map on the switch plus a register the switch alone writes: every
+// new flow records its source port there. Nothing reads the register, so
+// the plan keeps it switch-only and the host copy lags until reconciled.
+Result<mbox::MiddleboxSpec> BuildLastNewFlowMarker() {
+  frontend::MiddleboxBuilder mb("last_new_flow");
+  auto flows = mb.DeclareMap("flows", {ir::Width::kU16}, {ir::Width::kU8},
+                             /*max_entries=*/1024);
+  auto marker = mb.DeclareGlobal("last_new_sport", ir::Width::kU16, /*init=*/0);
+  auto& b = mb.b();
+  const ir::Reg sport = b.HeaderRead(ir::HeaderField::kSrcPort, "sport");
+  const ir::Reg dport = b.HeaderRead(ir::HeaderField::kDstPort, "dport");
+  const auto flow = flows.Find({ir::R(dport)}, "flow");
+  mb.IfElse(
+      ir::R(flow.found),
+      [&] {
+        b.Send(ir::Imm(mbox::kPortExternal));
+        b.Ret();
+      },
+      [&] {
+        flows.Insert({ir::R(dport)}, {ir::Imm(1)});
+        marker.Write(ir::R(sport));
+        b.Send(ir::Imm(mbox::kPortExternal));
+        b.Ret();
+      });
+  mbox::MiddleboxSpec spec;
+  spec.name = "last_new_flow";
+  GALLIUM_ASSIGN_OR_RETURN(spec.fn, std::move(mb).Finish());
+  return spec;
+}
+
+TEST(Offloaded, DegradedModeContinuesFromSlowPathSwitchGlobal) {
+  auto spec = BuildLastNewFlowMarker();
+  auto reference_spec = BuildLastNewFlowMarker();
+  ASSERT_TRUE(spec.ok() && reference_spec.ok()) << spec.status().ToString();
+  const ir::StateIndex marker = 0;
+  FaultPlan plan;
+  plan.outages = {{4, 8}};  // packets 4..7 find the switch down
+  OffloadedOptions options;
+  options.fault_plan = &plan;
+  auto mbx = OffloadedMiddlebox::Create(*spec, options);
+  ASSERT_TRUE(mbx.ok()) << mbx.status().ToString();
+  ASSERT_EQ((*mbx)->plan().state_placement.at(
+                {ir::StateRef::Kind::kGlobal, marker}),
+            partition::StatePlacement::kSwitchOnly)
+      << (*mbx)->plan().Summary(*spec->fn);
+
+  SoftwareMiddlebox reference(*reference_spec);
+  for (uint16_t i = 0; i < 10; ++i) {
+    // Packets 0..3 open new flows on the slow path, which writes the
+    // register on the switch; the rest revisit those flows and write
+    // nothing, through the outage and after it.
+    net::Packet pkt =
+        PortsPacket(mbox::kPortInternal, 100 + i, 1000 + (i < 4 ? i : i % 4));
+    net::Packet ref_pkt = pkt;
+    auto out = (*mbx)->Process(pkt);
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+    ASSERT_EQ(out.degraded, i >= 4 && i < 8) << "packet " << i;
+    ASSERT_EQ(out.fast_path, i >= 8) << "packet " << i;
+    ASSERT_TRUE(reference.Process(ref_pkt).status.ok());
+    const uint64_t want = reference.state().global_value(marker);
+    EXPECT_EQ((*mbx)->server_state().global_value(marker), want)
+        << "packet " << i;
+    if (!out.degraded) {
+      EXPECT_EQ((*mbx)->device().data_plane().GlobalRead(marker), want)
+          << "packet " << i << ": the resync restored a stale register";
+    }
+  }
+  EXPECT_EQ((*mbx)->resyncs(), 1u);
+}
+
+TEST(Offloaded, FailedReturnLinkResyncsOnTheNextPacket) {
+  auto spec = mbox::BuildMiniLb();
+  ASSERT_TRUE(spec.ok());
+  const ir::StateIndex map = spec->MapIndex("map");
+  FaultPlan plan;
+  plan.to_switch.drop = 1.0;  // server -> switch frames never arrive
+  OffloadedOptions options;
+  options.fault_plan = &plan;
+  options.sync_policy.max_data_attempts = 4;
+  auto mbx = OffloadedMiddlebox::Create(*spec, options);
+  ASSERT_TRUE(mbx.ok()) << mbx.status().ToString();
+
+  net::Packet pkt = PortsPacket(mbox::kPortInternal, 5, 6);
+  auto lost = (*mbx)->Process(pkt);
+  ASSERT_FALSE(lost.status.ok()) << "the return leg exhausted its attempts";
+  EXPECT_EQ((*mbx)->data_retries(), 3u);
+  EXPECT_EQ((*mbx)->resyncs(), 0u);
+
+  // The same flow again: the switch is rebuilt from the host store before
+  // the pre pass, and the flow then stays on the switch.
+  auto next = (*mbx)->Process(pkt);
+  ASSERT_TRUE(next.status.ok()) << next.status.ToString();
+  EXPECT_EQ((*mbx)->resyncs(), 1u);
+  EXPECT_TRUE(next.fast_path);
+  EXPECT_EQ((*mbx)->device().table(map)->size(),
+            (*mbx)->server_state().MapSize(map));
 }
 
 TEST(Software, MatchesSpecInitialState) {
