@@ -3,12 +3,14 @@
 
     python3 scripts/perf_ab.py --base HEAD~1 --workload compile --seeds 10 --seconds 3
 
-Run it from the root of a checkout. The base revision is exported with
-`git archive` (the repository's worktrees and index are left alone) into
-<target-dir>/base-<sha>/tree and built there by its own perfbench/run.py
-into <target-dir>/base-<sha>/build; the working tree ("head") builds into
-its usual .bench_build. Runs go in ABBA order, one pair per seed, with the
-same seed on both sides, so slow drift of the host hits both sides alike.
+Run it from the root of a checkout. Both sides are built the same way:
+the base revision and the working tree ("head", tracked and untracked
+files that .gitignore does not exclude) are exported with `git archive`
+into <target-dir>/base-<sha>/tree and <target-dir>/head-<tree sha>/tree
+(the repository's index and worktrees are left alone), and each tree's own
+perfbench/run.py builds it into the build/ directory next to it. Runs go
+in ABBA order, one pair per seed, with the same seed on both sides, so
+slow drift of the host hits both sides alike.
 
 For every metric of the workload's JSON result the report gives each
 side's median and quartiles, the median of the per-seed head/base ratios
@@ -44,15 +46,25 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BOOTSTRAP_SAMPLES = 2000
 
 
-def git(*args):
+def git(*args, env=None):
     return subprocess.run(["git", "-C", ROOT, *args], check=True,
-                          capture_output=True).stdout
+                          capture_output=True, env=env).stdout
 
 
-def export_base(rev, target_dir):
-    sha = git("rev-parse", "--verify", rev + "^{commit}").decode().strip()
-    base_dir = os.path.join(target_dir, "base-" + sha[:12])
-    tree = os.path.join(base_dir, "tree")
+def working_tree_sha(target_dir):
+    """Git tree object of the working tree, written through a scratch index."""
+    env = dict(os.environ, GIT_INDEX_FILE=os.path.join(target_dir, "index"))
+    git("read-tree", "HEAD", env=env)
+    git("add", "-A", env=env)
+    return git("write-tree", env=env).decode().strip()
+
+
+def export(side, rev, target_dir):
+    """Exports `rev` to <target-dir>/<side>-<sha>/tree once; returns
+    (sha, tree, build dir)."""
+    sha = git("rev-parse", "--verify", rev).decode().strip()
+    side_dir = os.path.join(target_dir, f"{side}-{sha[:12]}")
+    tree = os.path.join(side_dir, "tree")
     if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
         shutil.rmtree(tree, ignore_errors=True)
         os.makedirs(tree)
@@ -60,15 +72,11 @@ def export_base(rev, target_dir):
             tar.extractall(tree)
         if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
             sys.exit(f"perf_ab: {rev} has no perfbench/run.py")
-    return sha, tree, os.path.join(base_dir, "build")
+    return sha, tree, os.path.join(side_dir, "build")
 
 
 def run_once(tree, build_dir, workload, seed, seconds, log):
-    env = dict(os.environ)
-    if build_dir is not None:
-        env["CARGO_TARGET_DIR"] = build_dir
-    else:
-        env.pop("CARGO_TARGET_DIR", None)
+    env = dict(os.environ, CARGO_TARGET_DIR=build_dir)
     out = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
@@ -166,11 +174,16 @@ def main():
     args = parser.parse_args()
 
     target_dir = os.path.abspath(args.target_dir)
-    sha, base_tree, base_build = export_base(args.base, target_dir)
+    os.makedirs(target_dir, exist_ok=True)
+    sha, base_tree, base_build = export(
+        "base", args.base + "^{commit}", target_dir)
+    _, head_tree, head_build = export(
+        "head", working_tree_sha(target_dir), target_dir)
     log_path = os.path.join(target_dir, "perf_ab.log")
     runs = {"base": [], "head": []}
     with open(log_path, "w") as log:
-        sides = {"base": (base_tree, base_build), "head": (ROOT, None)}
+        sides = {"base": (base_tree, base_build),
+                 "head": (head_tree, head_build)}
         for seed in range(1, args.seeds + 1):
             order = ("base", "head") if seed % 2 else ("head", "base")
             for side in order:

@@ -9,11 +9,10 @@
 namespace gallium::cppgen {
 
 using ir::HeaderField;
-using ir::InstId;
 using ir::Instruction;
 using ir::Opcode;
 using ir::Reg;
-using partition::Part;
+using partition::Pass;
 
 namespace {
 
@@ -53,14 +52,6 @@ class CppEmitter {
   Result<std::string> Generate();
 
  private:
-  bool Replicable(InstId id) const {
-    return id < static_cast<InstId>(plan_.replicable.size()) &&
-           plan_.replicable[id];
-  }
-  bool Mine(const Instruction& inst) const {
-    return plan_.assignment[inst.id] == Part::kNonOffloaded ||
-           Replicable(inst.id);
-  }
   bool ServerTouches(const ir::StateRef& ref) const {
     const auto it = plan_.state_placement.find(ref);
     return it != plan_.state_placement.end() &&
@@ -96,7 +87,9 @@ std::string CppEmitter::CondExpr(const ir::Value& cond) const {
   for (const ir::BasicBlock& bb : fn_.blocks()) {
     for (const Instruction& inst : bb.insts) {
       for (Reg d : inst.dsts) {
-        if (d == r && Mine(inst)) return RegName(r) + " != 0";
+        if (d == r && plan_.Runs(Pass::kServer, inst.id)) {
+          return RegName(r) + " != 0";
+        }
       }
     }
   }
@@ -141,7 +134,7 @@ void CppEmitter::DeclareRegs(std::ostringstream& out) const {
   }
   for (const ir::BasicBlock& bb : fn_.blocks()) {
     for (const Instruction& inst : bb.insts) {
-      if (!Mine(inst)) continue;
+      if (!plan_.Runs(Pass::kServer, inst.id)) continue;
       for (Reg r : inst.dsts) declare(r, "0");
     }
   }
@@ -317,7 +310,9 @@ void CppEmitter::EmitRegion(int block, int stop, int depth,
 
     for (const Instruction& inst : bb.insts) {
       if (inst.IsTerminator()) break;
-      if (Mine(inst)) EmitInstruction(inst, indent, out);
+      if (plan_.Runs(Pass::kServer, inst.id)) {
+        EmitInstruction(inst, indent, out);
+      }
     }
     const Instruction& term = bb.terminator();
     if (term.op == Opcode::kJump) {

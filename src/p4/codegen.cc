@@ -15,6 +15,8 @@ using ir::Instruction;
 using ir::Opcode;
 using ir::Reg;
 using partition::Part;
+using partition::Pass;
+using partition::Step;
 
 namespace {
 
@@ -66,10 +68,7 @@ MetadataAllocation AllocateMetadata(const ir::Function& fn,
 
   for (const ir::BasicBlock& bb : fn.blocks()) {
     for (const Instruction& inst : bb.insts) {
-      const bool on_switch =
-          plan.assignment[inst.id] != Part::kNonOffloaded ||
-          (inst.id < static_cast<InstId>(plan.replicable.size()) &&
-           plan.replicable[inst.id]);
+      const bool on_switch = plan.RunsOnSwitch(inst.id);
       for (Reg r : inst.dsts) {
         if (on_switch) resident[r] = true;
         if (first_def[r] < 0 || inst.id < first_def[r]) first_def[r] = inst.id;
@@ -164,14 +163,6 @@ class Emitter {
   Result<P4Program> Generate();
 
  private:
-  bool Replicable(InstId id) const {
-    return id < static_cast<InstId>(plan_.replicable.size()) &&
-           plan_.replicable[id];
-  }
-  bool OnPart(const Instruction& inst, Part part) const {
-    return plan_.assignment[inst.id] == part || Replicable(inst.id);
-  }
-
   std::string RegRef(Reg r) const {
     if (!alloc_.slot_of_reg[r].empty()) return "meta." + alloc_.slot_of_reg[r];
     return "meta.x_" + SanitizeIdentifier(fn_.reg_name(r));
@@ -185,7 +176,7 @@ class Emitter {
   // Returns empty if the condition is unavailable in this pass.
   std::string CondExpr(const ir::Value& cond, Part part) const;
 
-  void EmitInstruction(const Instruction& inst, Part part,
+  void EmitInstruction(const Instruction& inst,
                        std::vector<std::string>* out);
   // Structured emission of [block, stop) for one partition pass.
   void EmitRegion(int block, int stop, Part part, int depth,
@@ -215,7 +206,7 @@ std::string Emitter::CondExpr(const ir::Value& cond, Part part) const {
   for (const ir::BasicBlock& bb : fn_.blocks()) {
     for (const Instruction& inst : bb.insts) {
       for (Reg d : inst.dsts) {
-        if (d == r && (OnPart(inst, part))) {
+        if (d == r && plan_.Runs(PassOf(part), inst.id)) {
           // Branch semantics are truthiness, not equality with one — wide
           // registers may hold any non-zero value.
           return RegRef(r) + " != 0";
@@ -234,7 +225,7 @@ std::string Emitter::CondExpr(const ir::Value& cond, Part part) const {
   return "";  // unavailable: the server resolves this branch
 }
 
-void Emitter::EmitInstruction(const Instruction& inst, Part part,
+void Emitter::EmitInstruction(const Instruction& inst,
                               std::vector<std::string>* out) {
   auto dst = [&] { return RegRef(inst.dsts[0]); };
   switch (inst.op) {
@@ -359,16 +350,17 @@ void Emitter::EmitInstruction(const Instruction& inst, Part part,
     default:
       break;  // control flow handled by EmitRegion; server ops never reach
   }
-  (void)part;
 }
 
 void Emitter::EmitRegion(int block, int stop, Part part, int depth,
                          std::vector<std::string>* out,
                          std::set<int>* visited) {
   const std::string indent(static_cast<size_t>(depth) * 4, ' ');
+  const Pass pass = PassOf(part);
   while (block != stop && block >= 0) {
     if (visited->count(block)) {
-      // Loop back-edge: loop bodies are server work by rule 5.
+      // Loop back-edge: P4 cannot loop, so the region ends here in every
+      // pass (loop bodies are server work by rule 5).
       out->push_back(indent + "meta.needs_server = 1; // loop -> server");
       return;
     }
@@ -378,12 +370,13 @@ void Emitter::EmitRegion(int block, int stop, Part part, int depth,
     bool emitted_skip_marker = false;
     for (const Instruction& inst : bb.insts) {
       if (inst.IsTerminator()) break;
-      if (OnPart(inst, part)) {
+      const Step step = plan_.StepOf(pass, inst.id);
+      if (step == Step::kRun) {
         std::vector<std::string> lines;
-        EmitInstruction(inst, part, &lines);
+        EmitInstruction(inst, &lines);
         for (auto& line : lines) out->push_back(indent + line);
         emitted_skip_marker = false;
-      } else if (part == Part::kPre && !emitted_skip_marker) {
+      } else if (step == Step::kSkipOwed && !emitted_skip_marker) {
         out->push_back(indent + "meta.needs_server = 1;");
         emitted_skip_marker = true;
       }
@@ -400,7 +393,8 @@ void Emitter::EmitRegion(int block, int stop, Part part, int depth,
     const int join = cfg_.ImmediatePostDominator(block);
     const std::string cond = CondExpr(term.args[0], part);
     if (cond.empty()) {
-      if (part == Part::kPre) {
+      if (partition::PartitionPlan::OnUndefinedBranch(pass) ==
+          partition::UndefinedBranch::kOweServer) {
         out->push_back(indent +
                        "meta.needs_server = 1; // server-resolved branch");
       }

@@ -15,6 +15,19 @@ namespace gallium::partition {
 enum class Part : uint8_t { kPre, kNonOffloaded, kPost };
 const char* PartName(Part p);
 
+// The walks the runtime makes over a partitioned program: one per Part (same
+// order), plus the §7 cache-miss recovery pass, in which the server re-runs
+// everything except the post partition.
+enum class Pass : uint8_t { kPre, kServer, kPost, kRecovery };
+constexpr Pass PassOf(Part p) { return static_cast<Pass>(p); }
+
+// What a pass does with a statement. kSkipOwed (pre pass only) is work left
+// to the server, so the packet must go there.
+enum class Step : uint8_t { kRun, kSkip, kSkipOwed };
+
+// What a pass does at a branch whose condition it has no value for.
+enum class UndefinedBranch : uint8_t { kOweServer, kFalseArm, kError };
+
 // The label set {pre, non_off, post} of §4.2.1. non_off is always a member
 // (executing on the server is always possible), so only pre/post are stored.
 struct LabelSet {
@@ -136,6 +149,46 @@ struct PartitionPlan {
   Part PartOf(ir::InstId id) const { return assignment[id]; }
   bool OnSwitch(ir::InstId id) const {
     return assignment[id] != Part::kNonOffloaded;
+  }
+
+  // --- The pass rule: what each pass executes. The interpreter, the
+  // validator, both code generators and the mutation engine read it.
+  // Computed from `assignment` and `replicable` on every call, so edits to
+  // either take effect at once.
+  bool IsReplicable(ir::InstId id) const {
+    return static_cast<size_t>(id) < replicable.size() && replicable[id];
+  }
+  // Replicable statements run in every pass that walks past them; any other
+  // runs in its own partition's pass (recovery: any partition but post).
+  Step StepOf(Pass pass, ir::InstId id) const {
+    if (IsReplicable(id)) return Step::kRun;
+    const Part part = assignment[id];
+    if (pass == Pass::kRecovery) {
+      return part != Part::kPost ? Step::kRun : Step::kSkip;
+    }
+    if (PassOf(part) == pass) return Step::kRun;
+    return pass == Pass::kPre ? Step::kSkipOwed : Step::kSkip;
+  }
+  bool Runs(Pass pass, ir::InstId id) const {
+    return StepOf(pass, id) == Step::kRun;
+  }
+  bool RunsOnSwitch(ir::InstId id) const {
+    return Runs(Pass::kPre, id) || Runs(Pass::kPost, id);
+  }
+
+  // Exit policy. The pre pass cannot loop (rule 5 puts loop bodies on the
+  // server), so re-entering a block owes the rest of the path to the server.
+  static bool RevisitOwesServer(Pass pass) { return pass == Pass::kPre; }
+  // A condition the pre pass lacks is produced later: owe the server. One
+  // the server or recovery pass lacks is computed only by the post partition,
+  // which no server statement depends on (a server dependent would have
+  // stripped the definition's post label), so both arms are empty for the
+  // pass: take the false arm. The post pass receives every condition it
+  // needs, so a missing one is a plan error.
+  static UndefinedBranch OnUndefinedBranch(Pass pass) {
+    if (pass == Pass::kPre) return UndefinedBranch::kOweServer;
+    return pass == Pass::kPost ? UndefinedBranch::kError
+                               : UndefinedBranch::kFalseArm;
   }
 
   std::string Summary(const ir::Function& fn) const;

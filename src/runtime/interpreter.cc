@@ -9,6 +9,9 @@ namespace gallium::runtime {
 using ir::HeaderField;
 using ir::Opcode;
 using partition::Part;
+using partition::Pass;
+using partition::Step;
+using partition::UndefinedBranch;
 
 Interpreter::Interpreter(const ir::Function& fn) : fn_(&fn) {}
 
@@ -102,7 +105,7 @@ ExecResult Interpreter::RunPartition(
     const std::vector<bool>* cached_maps, ExecScratch* scratch) const {
   WalkConfig config;
   config.plan = &plan;
-  config.part = part;
+  config.pass = partition::PassOf(part);
   config.cached_maps = cached_maps;
   return Walk(pkt, state, now_ms, config, in_spec, in_values, out_spec,
               scratch);
@@ -115,9 +118,8 @@ ExecResult Interpreter::RunServerFull(
     const std::vector<bool>& cached_maps, ExecScratch* scratch) const {
   WalkConfig config;
   config.plan = &plan;
-  config.part = Part::kNonOffloaded;
+  config.pass = Pass::kRecovery;
   config.cached_maps = &cached_maps;
-  config.full_server = true;
   return Walk(pkt, state, now_ms, config, nullptr, nullptr, out_spec, scratch);
 }
 
@@ -160,42 +162,19 @@ ExecResult Interpreter::Walk(net::Packet& pkt, StateBackend& state,
     defined[r] = true;
   };
 
-  // Should this statement execute in this walk?
-  auto mine = [&](const ir::Instruction& inst) {
-    if (config.plan == nullptr) return true;
-    if (inst.op == Opcode::kJump || inst.op == Opcode::kReturn) return true;
-    if (inst.op == Opcode::kBranch) return true;  // replicated control flow
-    if (config.full_server) {
-      // Cache-miss recovery: the server re-runs the whole program except
-      // the post partition (which the switch executes on the way out).
-      return config.plan->PartOf(inst.id) != Part::kPost ||
-             (inst.id < static_cast<ir::InstId>(config.plan->replicable.size()) &&
-              config.plan->replicable[inst.id]);
-    }
-    // Replicable statements (stable header reads) re-execute in every
-    // partition that walks past them instead of shipping their values.
-    if (inst.id < static_cast<ir::InstId>(config.plan->replicable.size()) &&
-        config.plan->replicable[inst.id]) {
-      return true;
-    }
-    return config.plan->PartOf(inst.id) == config.part;
-  };
-
   int block = fn_->entry_block();
   constexpr int kMaxSteps = 1 << 20;  // guards against runaway loops
   int steps = 0;
   bool done = false;
 
-  // The pre pass must not traverse loops: loop bodies are server work
-  // (rule 5), so re-entering a block means the path's remaining work
-  // belongs to the server.
-  const bool is_pre_pass =
-      config.plan != nullptr && config.part == Part::kPre;
+  const bool track_visits =
+      config.plan != nullptr &&
+      partition::PartitionPlan::RevisitOwesServer(config.pass);
   std::vector<bool>& visited = s.visited;
-  if (is_pre_pass) visited.assign(fn_->num_blocks(), false);
+  if (track_visits) visited.assign(fn_->num_blocks(), false);
 
   while (!done) {
-    if (is_pre_pass) {
+    if (track_visits) {
       if (visited[block]) {
         result.needs_server = true;
         break;
@@ -215,26 +194,22 @@ ExecResult Interpreter::Walk(net::Packet& pkt, StateBackend& state,
       if (inst.op == Opcode::kBranch) {
         const ir::Value& cond = inst.args[0];
         if (cond.is_reg() && !defined[cond.reg]) {
-          // The condition is produced by a later partition; every statement
-          // beyond this point belongs to the server/post side (§4.2 rules).
-          if (config.plan != nullptr && config.part == Part::kPre) {
+          const UndefinedBranch exit =
+              config.plan != nullptr
+                  ? partition::PartitionPlan::OnUndefinedBranch(config.pass)
+                  : UndefinedBranch::kError;
+          if (exit == UndefinedBranch::kOweServer) {
             result.needs_server = true;
             done = true;
             break;
           }
-          if (config.plan != nullptr &&
-              config.part == Part::kNonOffloaded) {
-            // A condition computed only by the post partition: the label
-            // rules guarantee no server statement is control-dependent on
-            // it (a server dependent would have stripped the definition's
-            // post label), so both arms are empty for this pass — take the
-            // false arm deterministically and continue to the join.
+          if (exit == UndefinedBranch::kFalseArm) {
             block = inst.target_false;
             break;
           }
-          result.status =
-              Internal("undefined branch condition %" +
-                       fn_->reg_name(cond.reg) + " in " + PartName(config.part));
+          result.status = Internal("undefined branch condition %" +
+                                   fn_->reg_name(cond.reg) + " in " +
+                                   fn_->name());
           return result;
         }
         ++result.stats.branches;
@@ -252,13 +227,10 @@ ExecResult Interpreter::Walk(net::Packet& pkt, StateBackend& state,
       }
 
       // --- Partition filtering ------------------------------------------------
-      if (!mine(inst)) {
-        if (config.plan != nullptr && config.part == Part::kPre &&
-            config.plan->PartOf(inst.id) != Part::kPre) {
-          // Skipped work owed to the server (or the post pass after it).
-          result.needs_server = true;
-        }
-        continue;
+      if (config.plan != nullptr) {
+        const Step step = config.plan->StepOf(config.pass, inst.id);
+        if (step == Step::kSkipOwed) result.needs_server = true;
+        if (step != Step::kRun) continue;
       }
 
       ++result.stats.insts;
@@ -304,8 +276,7 @@ ExecResult Interpreter::Walk(net::Packet& pkt, StateBackend& state,
               inst.state < config.cached_maps->size() &&
               (*config.cached_maps)[inst.state];
           const bool found = state.MapLookup(inst.state, key, &values);
-          if (config.plan != nullptr && config.part == Part::kPre &&
-              !config.full_server && is_cached_map && !found) {
+          if (config.pass == Pass::kPre && is_cached_map && !found) {
             // §7 cache mode: a miss in a partial table is not authoritative;
             // abort the pre pass and let the server decide from its full map.
             result.cache_miss_abort = true;
@@ -313,7 +284,7 @@ ExecResult Interpreter::Walk(net::Packet& pkt, StateBackend& state,
             done = true;
             break;
           }
-          if (config.full_server && is_cached_map) {
+          if (config.pass == Pass::kRecovery && is_cached_map) {
             result.cached_lookups.push_back({inst.state, key});
           }
           set_reg(inst.dsts[0], found ? 1 : 0);

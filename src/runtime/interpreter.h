@@ -6,6 +6,9 @@
 // behavior: the pre pass on the switch (stopping where server work begins
 // and packing the transfer header), the server pass (consuming the transfer
 // header), and the post pass on the switch (consuming the return header).
+// Which statements a pass runs, and where it stops and owes the server, is
+// partition::PartitionPlan's pass rule (partition/plan.h), the same rule
+// the translation validator replays; the walk here only follows the CFG.
 #pragma once
 
 #include <array>
@@ -115,12 +118,10 @@ class Interpreter {
  private:
   struct WalkConfig {
     const partition::PartitionPlan* plan = nullptr;  // null = run everything
-    partition::Part part = partition::Part::kPre;
-    // Cache mode: pre pass aborts on misses in these maps; the server-full
+    partition::Pass pass = partition::Pass::kPre;
+    // Cache mode: pre pass aborts on misses in these maps; the recovery
     // pass records lookups into them.
     const std::vector<bool>* cached_maps = nullptr;
-    // Server recovery mode: execute every statement except post-tagged ones.
-    bool full_server = false;
   };
 
   ExecResult Walk(net::Packet& pkt, StateBackend& state, uint64_t now_ms,

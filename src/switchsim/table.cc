@@ -120,8 +120,8 @@ Status ExactMatchTable::ApplyStagedToMain() {
 
 void ExactMatchTable::EvictOldest() {
   while (!insertion_order_.empty()) {
-    const TableKey victim = insertion_order_.front();
-    insertion_order_.erase(insertion_order_.begin());
+    const TableKey victim = std::move(insertion_order_.front());
+    insertion_order_.pop_front();
     if (main_.Erase(victim.data())) {
       ++evictions_;
       return;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -105,7 +106,7 @@ class ExactMatchTable {
   // at 10M+ entries) whatever the match kind: an LPM table stores its routes
   // under {prefix, len} keys and walks state::LongestPrefixMatch's ladder.
   state::FlowTable main_;
-  std::vector<TableKey> insertion_order_;  // FIFO for cache eviction
+  std::deque<TableKey> insertion_order_;  // FIFO for cache eviction
   // The write-back shadow stays ordered: it is capped small (max_entries/4)
   // and ApplyStagedToMain's sorted iteration keeps the cache-mode eviction
   // FIFO reproducible across runs.

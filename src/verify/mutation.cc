@@ -22,11 +22,7 @@ std::vector<bool> ServerOnlyDefs(const ir::Function& fn,
     for (const ir::Instruction& inst : bb.insts) {
       for (Reg r : inst.dsts) {
         has_def[r] = true;
-        if (plan.assignment[inst.id] != Part::kNonOffloaded ||
-            (inst.id < static_cast<InstId>(plan.replicable.size()) &&
-             plan.replicable[inst.id])) {
-          server_only[r] = false;
-        }
+        if (plan.RunsOnSwitch(inst.id)) server_only[r] = false;
       }
     }
   }
@@ -83,11 +79,7 @@ void MutateLabelMisRemoval(const ir::Function& fn,
     for (const ir::Instruction& inst : bb.insts) {
       if (static_cast<int>(out->size()) >= max_candidates) return;
       if (inst.IsTerminator()) continue;
-      if (plan.assignment[inst.id] != Part::kNonOffloaded) continue;
-      if (inst.id < static_cast<InstId>(plan.replicable.size()) &&
-          plan.replicable[inst.id]) {
-        continue;
-      }
+      if (plan.RunsOnSwitch(inst.id)) continue;
       const bool uses_server_reg =
           std::any_of(inst.args.begin(), inst.args.end(), [&](const auto& v) {
             return v.is_reg() && server_only[v.reg];
@@ -212,9 +204,8 @@ void MutateSwappedBoundary(const ir::Function& fn,
     for (const ir::Instruction& inst : bb.insts) {
       if (static_cast<int>(out->size()) >= max_candidates) return;
       if (inst.IsTerminator() || inst.dsts.empty()) continue;
-      if (plan.assignment[inst.id] != Part::kPre) continue;
-      if (inst.id < static_cast<InstId>(plan.replicable.size()) &&
-          plan.replicable[inst.id]) {
+      if (!plan.Runs(partition::Pass::kPre, inst.id) ||
+          plan.IsReplicable(inst.id)) {
         continue;
       }
       const Reg dst = inst.dsts[0];

@@ -419,11 +419,12 @@ struct Problem {
 };
 
 // Replays one pass (pre / non-offloaded / post) of the composed pipeline
-// along the original path, mirroring runtime::Interpreter::Walk.
+// along the original path. Which statements run and where the pass stops
+// come from the plan's pass rule (partition/plan.h), the one the runtime's
+// Interpreter::Walk executes; only the walk itself is symbolic here.
 //
-// `needs_server` (pre pass only) mirrors ExecResult::needs_server: set when
-// the pass revisits a block, hits a branch condition it cannot evaluate, or
-// skips a statement owed to a later partition. When it stays false the
+// `needs_server` (pre pass only) is ExecResult::needs_server: set when the
+// rule owes the rest of the path to the server. When it stays false the
 // runtime takes the switch-only fast path and never runs the server or post
 // passes (offloaded_middlebox.cc), so the caller must skip them too.
 void RunComposedPass(const ir::Function& fn,
@@ -437,6 +438,7 @@ void RunComposedPass(const ir::Function& fn,
                      std::vector<Problem>& problems, const PathLimits& limits,
                      bool* exhaustive, bool* needs_server = nullptr) {
   const char* pass_name = partition::PartName(part);
+  const partition::Pass pass = partition::PassOf(part);
   std::map<Reg, TermRef> regs;
   if (in_spec != nullptr && in_values != nullptr) {
     for (Reg r : in_spec->cond_regs) {
@@ -453,15 +455,6 @@ void RunComposedPass(const ir::Function& fn,
   std::map<InstId, std::deque<const Decision*>> queues;
   for (const Decision& d : path.decisions) queues[d.inst].push_back(&d);
 
-  auto replicable = [&](const ir::Instruction& inst) {
-    return inst.id < static_cast<InstId>(plan.replicable.size()) &&
-           plan.replicable[inst.id];
-  };
-  auto mine = [&](const ir::Instruction& inst) {
-    if (replicable(inst)) return true;
-    return plan.PartOf(inst.id) == part;
-  };
-
   std::vector<std::string> undef_uses;
   ExecCtx ctx{&fn, &regs, &oracle, &trace, &undef_uses, pass_name};
 
@@ -476,9 +469,8 @@ void RunComposedPass(const ir::Function& fn,
   int steps = 0;
   bool done = false;
   while (!done) {
-    if (part == Part::kPre) {
+    if (partition::PartitionPlan::RevisitOwesServer(pass)) {
       if (visited[block]) {
-        // Loop: remaining work is the server's.
         if (needs_server != nullptr) *needs_server = true;
         break;
       }
@@ -512,23 +504,23 @@ void RunComposedPass(const ir::Function& fn,
 
         if (!defined) {
           if (!queue.empty() && !diverged) queue.pop_front();
-          if (part == Part::kPre) {
-            // Condition produced by a later partition: the pre pass ends
-            // here and forwards to the server.
+          const partition::UndefinedBranch exit =
+              partition::PartitionPlan::OnUndefinedBranch(pass);
+          if (exit == partition::UndefinedBranch::kOweServer) {
             if (needs_server != nullptr) *needs_server = true;
             done = true;
             break;
           }
-          if (part == Part::kPost) {
+          if (exit == partition::UndefinedBranch::kError) {
             problems.push_back(
                 {"undefined-branch",
                  "branch condition %" + fn.reg_name(cv.reg) +
-                     " undefined in the post pass (inst " +
+                     " undefined in the " + pass_name + " pass (inst " +
                      std::to_string(inst.id) + ")",
                  nullptr, nullptr});
           }
-          // Server semantics: both arms hold no work of this pass; take the
-          // false arm to the join.
+          // Take the false arm to the join (after an error too, so later
+          // comparisons stay aligned).
           const int join = cfg.ImmediatePostDominator(block);
           if (join >= 0) diverged_until.push_back(join);
           block = inst.target_false;
@@ -566,14 +558,11 @@ void RunComposedPass(const ir::Function& fn,
         break;
       }
 
-      if (!mine(inst)) {
-        if (part == Part::kPre && needs_server != nullptr &&
-            plan.PartOf(inst.id) != Part::kPre) {
-          // Skipped work owed to the server (or the post pass after it).
-          *needs_server = true;
-        }
-        continue;
+      const partition::Step step = plan.StepOf(pass, inst.id);
+      if (step == partition::Step::kSkipOwed && needs_server != nullptr) {
+        *needs_server = true;
       }
+      if (step != partition::Step::kRun) continue;
       if (diverged && !reported_diverged_exec) {
         problems.push_back(
             {"diverged-exec",
@@ -584,7 +573,7 @@ void RunComposedPass(const ir::Function& fn,
         reported_diverged_exec = true;
       }
       ExecInst(ctx, inst);
-      if (!replicable(inst)) trace.exec_count[inst.id] += 1;
+      if (!plan.IsReplicable(inst.id)) trace.exec_count[inst.id] += 1;
     }
   }
 
@@ -621,10 +610,7 @@ void CompareTraces(const RunTrace& orig, const RunTrace& comp,
     for (const auto& [id, n] : orig.exec_count) counts[id].first = n;
     for (const auto& [id, n] : comp.exec_count) counts[id].second = n;
     for (const auto& [id, pair] : counts) {
-      if (id < static_cast<InstId>(plan.replicable.size()) &&
-          plan.replicable[id]) {
-        continue;
-      }
+      if (plan.IsReplicable(id)) continue;
       if (pair.first != pair.second) {
         problems.push_back(
             {"exec-count",

@@ -63,6 +63,28 @@ TEST(ExactMatchTable, StageRejectsWhenShadowFull) {
   EXPECT_TRUE(table.Stage({5}, TableValue{55}).ok());
 }
 
+TEST(ExactMatchTable, FifoEvictionKeepsInsertionOrder) {
+  ExactMatchTable t("cache", 1, 1, 4);
+  t.EnableFifoEviction();
+  for (uint64_t k = 0; k < 4; ++k) ASSERT_TRUE(t.InsertMain({k}, {k}).ok());
+  // A control-plane delete leaves a stale FIFO slot that eviction skips.
+  ASSERT_TRUE(t.Stage({0}, std::nullopt).ok());
+  ASSERT_TRUE(t.ApplyStagedToMain().ok());
+  ASSERT_TRUE(t.InsertMain({4}, {4}).ok());
+  EXPECT_EQ(t.evictions(), 0u);
+  TableValue v;
+  for (uint64_t k = 5; k < 200; ++k) {
+    ASSERT_TRUE(t.InsertMain({k}, {k}).ok());
+    ASSERT_EQ(t.size(), 4u);
+    ASSERT_EQ(t.evictions(), k - 4);
+    // Exactly the four newest keys stay resident.
+    EXPECT_FALSE(t.Lookup({k - 4}, &v)) << k;
+    for (uint64_t live = k - 3; live <= k; ++live) {
+      EXPECT_TRUE(t.Lookup({live}, &v)) << k << " " << live;
+    }
+  }
+}
+
 TEST(ExactMatchTable, LpmLongestPrefixWins) {
   ExactMatchTable table("routes", 1, 1, 16, ExactMatchTable::MatchKind::kLpm);
   // Nested prefixes over 10.1.0.0: /8, /16, /24 plus a default route.

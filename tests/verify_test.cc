@@ -6,6 +6,8 @@
 // verifier diagnostics surface through the plan report.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/compiler.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
@@ -14,6 +16,7 @@
 #include "rmt/feedback.h"
 #include "rmt/target.h"
 #include "runtime/interpreter.h"
+#include "runtime/state.h"
 #include "verify/lint.h"
 #include "verify/mutation.h"
 #include "verify/symbolic.h"
@@ -150,6 +153,218 @@ TEST(MutationDriver, EveryClassCaughtWithCounterexample) {
         << verify::MutationClassName(cls)
         << " was caught but never with a concrete counterexample packet";
   }
+}
+
+// --- Pass rule (partition/plan.h) ------------------------------------------
+// One test per exit of the rule that the runtime's interpreter and the
+// validator's composed replay both read. Plans are hand-made: every
+// statement gets a part by opcode, so each test pins one behaviour.
+
+partition::PartitionPlan HandPlan(
+    const ir::Function& fn,
+    const std::function<partition::Part(const ir::Instruction&)>& part_of,
+    const std::function<bool(const ir::Instruction&)>& replicable = nullptr) {
+  partition::PartitionPlan plan;
+  plan.assignment.assign(fn.num_insts(), partition::Part::kPre);
+  plan.replicable.assign(fn.num_insts(), false);
+  for (const ir::BasicBlock& bb : fn.blocks()) {
+    for (const ir::Instruction& inst : bb.insts) {
+      plan.assignment[inst.id] = part_of(inst);
+      if (replicable) plan.replicable[inst.id] = replicable(inst);
+    }
+  }
+  return plan;
+}
+
+net::Packet RulePacket() {
+  net::FiveTuple flow{net::MakeIpv4(1, 2, 3, 4), net::MakeIpv4(5, 6, 7, 8),
+                      1111, 80, net::kIpProtoTcp};
+  net::Packet pkt = net::MakeTcpPacket(flow, net::kTcpSyn, 32, 5);
+  pkt.ip().ttl = 3;
+  return pkt;
+}
+
+TEST(PassRule, PrePassRevisitingABlockOwesTheServer) {
+  // head: t = ttl; t != 0 ? body : out    body: ttl = t - 1; -> head
+  ir::Function fn("pre_loop");
+  ir::IrBuilder b(&fn);
+  const int entry = b.CreateBlock("entry");
+  const int head = b.CreateBlock("head");
+  const int body = b.CreateBlock("body");
+  const int out = b.CreateBlock("out");
+  fn.set_entry_block(entry);
+  b.SetInsertPoint(entry);
+  b.Jump(head);
+  b.SetInsertPoint(head);
+  const ir::Reg t = b.HeaderRead(ir::HeaderField::kIpTtl, "t");
+  const ir::Reg more = b.Alu(ir::AluOp::kNe, R(t), Imm(0), "more");
+  b.Branch(R(more), body, out);
+  b.SetInsertPoint(body);
+  const ir::Reg dec = b.Alu(ir::AluOp::kSub, R(t), Imm(1), "dec");
+  b.HeaderWrite(ir::HeaderField::kIpTtl, R(dec));
+  b.Jump(head);
+  b.SetInsertPoint(out);
+  b.Send(Imm(1));
+  b.Ret();
+  ASSERT_TRUE(ir::VerifyFunction(fn).ok());
+  // The whole loop on the pre pass, which cannot loop.
+  const partition::PartitionPlan plan =
+      HandPlan(fn, [](const ir::Instruction&) { return partition::Part::kPre; });
+
+  runtime::Interpreter interp(fn);
+  runtime::HostStateStore state(fn);
+  net::Packet pkt = RulePacket();
+  const runtime::ExecResult pre = interp.RunPartition(
+      pkt, state, 0, plan, partition::Part::kPre, nullptr, nullptr, nullptr);
+  ASSERT_TRUE(pre.status.ok()) << pre.status.ToString();
+  EXPECT_TRUE(pre.needs_server) << "re-entering head must owe the server";
+  EXPECT_FALSE(pre.verdict.decided());
+  EXPECT_EQ(pkt.ip().ttl, 2) << "the pre pass stops after one trip";
+
+  // The validator replays the same rule: the second trip runs in no pass.
+  // A few short paths suffice (the loop unrolls once per path).
+  verify::PathLimits limits;
+  limits.max_paths = 8;
+  limits.max_steps_per_path = 64;
+  limits.max_mismatches = 1;
+  const verify::ValidationResult result =
+      verify::ValidateTranslation(fn, plan, limits);
+  EXPECT_FALSE(result.equivalent) << result.Summary();
+}
+
+TEST(PassRule, PrePassStopsAtABranchItCannotEvaluate) {
+  // c = (ttl == 3) on the server; both arms hold (misplaced) pre work.
+  ir::Function fn("pre_undefined_branch");
+  ir::IrBuilder b(&fn);
+  const int entry = b.CreateBlock("entry");
+  const int yes = b.CreateBlock("yes");
+  const int no = b.CreateBlock("no");
+  fn.set_entry_block(entry);
+  b.SetInsertPoint(entry);
+  const ir::Reg ttl = b.HeaderRead(ir::HeaderField::kIpTtl, "ttl");
+  const ir::Reg c = b.Alu(ir::AluOp::kEq, R(ttl), Imm(3), "c");
+  b.Branch(R(c), yes, no);
+  b.SetInsertPoint(yes);
+  b.Send(Imm(1));
+  b.Ret();
+  b.SetInsertPoint(no);
+  b.Drop();
+  b.Ret();
+  ASSERT_TRUE(ir::VerifyFunction(fn).ok());
+  const partition::PartitionPlan plan =
+      HandPlan(fn, [](const ir::Instruction& inst) {
+        return inst.op == ir::Opcode::kAlu ? partition::Part::kNonOffloaded
+                                           : partition::Part::kPre;
+      });
+
+  runtime::Interpreter interp(fn);
+  runtime::HostStateStore state(fn);
+  net::Packet pkt = RulePacket();
+  const runtime::ExecResult pre = interp.RunPartition(
+      pkt, state, 0, plan, partition::Part::kPre, nullptr, nullptr, nullptr);
+  ASSERT_TRUE(pre.status.ok()) << pre.status.ToString();
+  EXPECT_TRUE(pre.needs_server);
+  EXPECT_FALSE(pre.verdict.decided())
+      << "the pre pass must end at the branch, not walk either arm";
+  EXPECT_EQ(pre.stats.branches, 0);
+}
+
+TEST(PassRule, ServerPassTakesTheFalseArmOnAPostOnlyCondition) {
+  // ttl (replicable); k = ttl + 1 (server); flag = ttl == 3 (post);
+  // flag ? dst = 7 (post) : -; src = k (server after the join); send (post)
+  ir::Function fn("server_post_branch");
+  ir::IrBuilder b(&fn);
+  const int entry = b.CreateBlock("entry");
+  const int mark = b.CreateBlock("mark");
+  const int join = b.CreateBlock("join");
+  fn.set_entry_block(entry);
+  b.SetInsertPoint(entry);
+  const ir::Reg ttl = b.HeaderRead(ir::HeaderField::kIpTtl, "ttl");
+  const ir::Reg k =
+      b.Alu(ir::AluOp::kAdd, R(ttl), Imm(1), ir::Width::kU32, "k");
+  const ir::Reg flag = b.Alu(ir::AluOp::kEq, R(ttl), Imm(3), "flag");
+  b.Branch(R(flag), mark, join);
+  b.SetInsertPoint(mark);
+  b.HeaderWrite(ir::HeaderField::kIpDst, Imm(7));
+  b.Jump(join);
+  b.SetInsertPoint(join);
+  b.HeaderWrite(ir::HeaderField::kIpSrc, R(k));
+  b.Send(Imm(1));
+  b.Ret();
+  ASSERT_TRUE(ir::VerifyFunction(fn).ok());
+  auto defines = [](const ir::Instruction& inst, ir::Reg r) {
+    return !inst.dsts.empty() && inst.dsts[0] == r;
+  };
+  const partition::PartitionPlan plan = HandPlan(
+      fn,
+      [&](const ir::Instruction& inst) {
+        const bool server =
+            defines(inst, k) || (inst.op == ir::Opcode::kHeaderWrite &&
+                                 inst.field == ir::HeaderField::kIpSrc);
+        return server ? partition::Part::kNonOffloaded : partition::Part::kPost;
+      },
+      [](const ir::Instruction& inst) {
+        return inst.op == ir::Opcode::kHeaderRead;
+      });
+
+  runtime::Interpreter interp(fn);
+  runtime::HostStateStore state(fn);
+  net::Packet pkt = RulePacket();
+  const uint32_t daddr = pkt.ip().daddr;
+  const runtime::ExecResult srv =
+      interp.RunPartition(pkt, state, 0, plan, partition::Part::kNonOffloaded,
+                          nullptr, nullptr, nullptr);
+  ASSERT_TRUE(srv.status.ok()) << srv.status.ToString();
+  EXPECT_EQ(pkt.ip().saddr, 4u) << "server work after the join must run";
+  EXPECT_EQ(pkt.ip().daddr, daddr) << "the post arm is not the server's";
+  EXPECT_FALSE(srv.verdict.decided());
+
+  const verify::ValidationResult result = verify::ValidateTranslation(fn, plan);
+  EXPECT_TRUE(result.equivalent) << result.Summary();
+}
+
+TEST(PassRule, RecoveryPassRunsReplicableReadsButSkipsPostWork) {
+  // x = ttl (replicable, assigned post); p = proto (pre);
+  // y = x + p (server); dst = y (post); send (post)
+  ir::Function fn("recovery");
+  ir::IrBuilder b(&fn);
+  const int entry = b.CreateBlock("entry");
+  fn.set_entry_block(entry);
+  b.SetInsertPoint(entry);
+  const ir::Reg x = b.HeaderRead(ir::HeaderField::kIpTtl, "x");
+  const ir::Reg p = b.HeaderRead(ir::HeaderField::kIpProto, "p");
+  const ir::Reg y = b.Alu(ir::AluOp::kAdd, R(x), R(p), ir::Width::kU32, "y");
+  b.HeaderWrite(ir::HeaderField::kIpDst, R(y));
+  b.Send(Imm(1));
+  b.Ret();
+  ASSERT_TRUE(ir::VerifyFunction(fn).ok());
+  auto defines = [](const ir::Instruction& inst, ir::Reg r) {
+    return !inst.dsts.empty() && inst.dsts[0] == r;
+  };
+  const partition::PartitionPlan plan = HandPlan(
+      fn,
+      [&](const ir::Instruction& inst) {
+        if (defines(inst, p)) return partition::Part::kPre;
+        if (defines(inst, y)) return partition::Part::kNonOffloaded;
+        return partition::Part::kPost;
+      },
+      [&](const ir::Instruction& inst) { return defines(inst, x); });
+  partition::TransferSpec out;
+  out.var_regs = {y};
+
+  runtime::Interpreter interp(fn);
+  runtime::HostStateStore state(fn);
+  net::Packet pkt = RulePacket();
+  const uint32_t daddr = pkt.ip().daddr;
+  const runtime::ExecResult rec =
+      interp.RunServerFull(pkt, state, 0, plan, &out, {});
+  ASSERT_TRUE(rec.status.ok()) << rec.status.ToString();
+  ASSERT_EQ(rec.transfer_out.var_values.size(), 1u);
+  EXPECT_EQ(rec.transfer_out.var_values[0], 3u + net::kIpProtoTcp)
+      << "the replicable read and the pre statement must both run";
+  EXPECT_EQ(pkt.ip().daddr, daddr) << "post work is left to the switch";
+  EXPECT_FALSE(rec.verdict.decided());
+  EXPECT_FALSE(rec.needs_server);
 }
 
 // --- Counterexample packets --------------------------------------------------
