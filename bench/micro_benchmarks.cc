@@ -140,10 +140,11 @@ void BM_ControlPlaneBatch(benchmark::State& state) {
 BENCHMARK(BM_ControlPlaneBatch)->Arg(1)->Arg(16)->Arg(256)->ArgName("batch");
 
 
-// Compiler scaling: partition time as the input program grows. The
-// dependency closure is a word-bitset Warshall pass, O(n^3 / 64), and the
-// all-pairs dependency scan and label fixpoint are O(n^2); this tracks
-// whether real-world program sizes stay comfortably interactive.
+// Compiler scaling: partition time as the input program grows. Dependency
+// edges come from per-location def/use lists, the closure ORs word rows
+// along the edges (O(E * n / 64)) and the label fixpoint is a worklist over
+// the edges, so a chain grows about linearly; this tracks whether
+// real-world program sizes stay comfortably interactive.
 void BM_PartitionScaling(benchmark::State& state) {
   const int chain_length = static_cast<int>(state.range(0));
   frontend::MiddleboxBuilder mb("scaling");

@@ -10,7 +10,6 @@ using ir::Opcode;
 CfgInfo::CfgInfo(const ir::Function& fn) : fn_(&fn), index_(fn.BuildIndex()) {
   const int n = fn.num_blocks();
   succs_.resize(n);
-  preds_.resize(n);
   for (const ir::BasicBlock& bb : fn.blocks()) {
     const ir::Instruction& term = bb.terminator();
     if (term.op == Opcode::kBranch) {
@@ -18,7 +17,6 @@ CfgInfo::CfgInfo(const ir::Function& fn) : fn_(&fn), index_(fn.BuildIndex()) {
     } else if (term.op == Opcode::kJump) {
       succs_[bb.id] = {term.target_true};
     }
-    for (int s : succs_[bb.id]) preds_[s].push_back(bb.id);
   }
   ComputeReachability();
   ComputePostDominators();
@@ -41,11 +39,7 @@ void CfgInfo::ComputeReachability() {
   }
 
   // Strict reachability (path length >= 1): the closure of the edge relation.
-  block_reach_ = BitMatrix(n);
-  for (int b = 0; b < n; ++b) {
-    for (int s : succs_[b]) block_reach_.Set(b, s);
-  }
-  block_reach_.TransitiveClosure();
+  block_reach_ = BitMatrix::Closure(succs_);
 }
 
 void CfgInfo::ComputePostDominators() {

@@ -1,4 +1,4 @@
-// Control-flow-graph facts: successors/predecessors, block and instruction
+// Control-flow-graph facts: successors, block and instruction
 // reachability ("can happen after", §4.1), post-dominators, and control
 // dependence.
 #pragma once
@@ -17,9 +17,6 @@ class CfgInfo {
   const ir::Function& function() const { return *fn_; }
 
   const std::vector<int>& successors(int block) const { return succs_[block]; }
-  const std::vector<int>& predecessors(int block) const {
-    return preds_[block];
-  }
 
   bool BlockReachable(int block) const { return reachable_[block]; }
 
@@ -58,7 +55,6 @@ class CfgInfo {
   const ir::Function* fn_;
   std::vector<ir::InstRef> index_;
   std::vector<std::vector<int>> succs_;
-  std::vector<std::vector<int>> preds_;
   std::vector<bool> reachable_;
   BitMatrix block_reach_;  // strict (path length >= 1)
   std::vector<int> ipostdom_;

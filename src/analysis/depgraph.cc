@@ -14,35 +14,69 @@ const char* DepKindName(DepKind kind) {
 }
 
 DependencyGraph::DependencyGraph(const ir::Function& fn, const CfgInfo& cfg)
-    : n_(fn.num_insts()),
-      deps_of_(n_),
-      users_of_(n_),
-      sets_(n_) {
-  // Collect instructions in a flat list and compute read/write sets.
+    : n_(fn.num_insts()), deps_of_(n_), users_of_(n_) {
+  // Each location gets a dense id: registers, header fields, the payload,
+  // maps, vectors, globals, time and packet I/O (Location::Kind order), at
+  // fixed offsets.
+  const int payload = fn.num_regs() + ir::kNumHeaderFields;
+  const int maps = payload + 1;
+  const int vectors = maps + static_cast<int>(fn.maps().size());
+  const int globals = vectors + static_cast<int>(fn.vectors().size());
+  const int time = globals + static_cast<int>(fn.globals().size());
+  const int offset[] = {0,       fn.num_regs(), payload, maps, vectors,
+                        globals, time,          time + 1};
+  auto id = [&](const Location& loc) {
+    return offset[static_cast<int>(loc.kind)] + static_cast<int>(loc.index);
+  };
+
+  // Read/write sets of the reachable instructions, and each location's
+  // readers and writers.
   std::vector<const ir::Instruction*> insts(n_, nullptr);
+  std::vector<ReadWriteSets> sets(n_);
   for (const ir::BasicBlock& bb : fn.blocks()) {
     if (!cfg.BlockReachable(bb.id)) continue;
     for (const ir::Instruction& inst : bb.insts) {
       insts[inst.id] = &inst;
-      sets_[inst.id] = ComputeReadWriteSets(fn, inst);
+      sets[inst.id] = ComputeReadWriteSets(fn, inst);
     }
   }
+  std::vector<std::vector<ir::InstId>> readers(time + 2);
+  std::vector<std::vector<ir::InstId>> writers(readers.size());
+  for (ir::InstId s = 0; s < n_; ++s) {
+    for (const Location& loc : sets[s].reads) readers[id(loc)].push_back(s);
+    for (const Location& loc : sets[s].writes) writers[id(loc)].push_back(s);
+  }
 
-  // Data and reverse-data dependencies over all "can happen after" pairs.
-  for (int s1 = 0; s1 < n_; ++s1) {
-    if (insts[s1] == nullptr) continue;
-    for (int s2 = 0; s2 < n_; ++s2) {
-      if (insts[s2] == nullptr || s1 == s2) continue;
-      if (!cfg.CanHappenAfter(s2, s1)) continue;
-      const ReadWriteSets& a = sets_[s1];
-      const ReadWriteSets& b = sets_[s2];
-      // Data: S1 writes what S2 reads or writes.
-      if (Intersects(a.writes, b.reads) || Intersects(a.writes, b.writes)) {
-        AddEdge(s1, s2, DepKind::kData);
-      } else if (Intersects(a.reads, b.writes)) {
-        // Reverse data: S1 reads what S2 modifies (WAR).
-        AddEdge(s1, s2, DepKind::kReverseData);
+  // Data and reverse-data dependencies: only pairs that share a location
+  // one of them writes can conflict. Sorted by (s1, s2), the pairs are added
+  // in the order an all-pairs scan would add them.
+  std::vector<uint64_t> pairs;
+  auto pair = [&](ir::InstId s1, ir::InstId s2) {
+    if (s1 != s2) pairs.push_back(uint64_t(s1) << 32 | uint32_t(s2));
+  };
+  for (size_t loc = 0; loc < writers.size(); ++loc) {
+    for (ir::InstId w : writers[loc]) {
+      for (ir::InstId r : readers[loc]) {
+        pair(w, r);
+        pair(r, w);
       }
+      for (ir::InstId other : writers[loc]) pair(w, other);
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  for (const uint64_t p : pairs) {
+    const auto s1 = static_cast<ir::InstId>(p >> 32);
+    const auto s2 = static_cast<ir::InstId>(p & 0xffffffffu);
+    if (!cfg.CanHappenAfter(s2, s1)) continue;
+    const ReadWriteSets& a = sets[s1];
+    const ReadWriteSets& b = sets[s2];
+    // Data: S1 writes what S2 reads or writes.
+    if (Intersects(a.writes, b.reads) || Intersects(a.writes, b.writes)) {
+      AddEdge(s1, s2, DepKind::kData);
+    } else if (Intersects(a.reads, b.writes)) {
+      // Reverse data: S1 reads what S2 modifies (WAR).
+      AddEdge(s1, s2, DepKind::kReverseData);
     }
   }
 
@@ -61,17 +95,13 @@ DependencyGraph::DependencyGraph(const ir::Function& fn, const CfgInfo& cfg)
   // after itself; if it conflicts with itself (any write) it depends on
   // itself (the paper's rule-5 precondition).
   for (int s = 0; s < n_; ++s) {
-    if (insts[s] == nullptr) continue;
-    if (!cfg.CanHappenAfter(s, s)) continue;
-    const ReadWriteSets& rw = sets_[s];
-    if (!rw.writes.empty() || insts[s]->op == ir::Opcode::kBranch) {
+    if (insts[s] == nullptr || !cfg.CanHappenAfter(s, s)) continue;
+    if (!sets[s].writes.empty() || insts[s]->op == ir::Opcode::kBranch) {
       AddEdge(s, s, DepKind::kData);
     }
   }
 
-  closure_ = BitMatrix(n_);
-  for (const DepEdge& e : edges_) closure_.Set(e.from, e.to);
-  closure_.TransitiveClosure();
+  closure_ = BitMatrix::Closure(users_of_);
   ComputeDistances();
 }
 

@@ -6,6 +6,8 @@
 //  - data dependency: S1 writes state S2 reads or writes (RAW / WAW),
 //  - reverse data dependency: S1 reads state S2 modifies (WAR),
 //  - control dependency: S1 decides whether S2 executes.
+// Only statements that touch a common location, one of them writing it,
+// are tested, so the cost follows the dependencies, not the n^2 pairs.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +71,6 @@ class DependencyGraph {
   const std::vector<int>& DistanceFromEntry() const { return dist_entry_; }
   const std::vector<int>& DistanceToExit() const { return dist_exit_; }
 
-  const ReadWriteSets& Sets(ir::InstId s) const { return sets_[s]; }
-
  private:
   void AddEdge(ir::InstId from, ir::InstId to, DepKind kind);
   void ComputeDistances();
@@ -82,7 +82,6 @@ class DependencyGraph {
   BitMatrix closure_;
   std::vector<int> dist_entry_;
   std::vector<int> dist_exit_;
-  std::vector<ReadWriteSets> sets_;
 };
 
 }  // namespace gallium::analysis

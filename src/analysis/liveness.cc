@@ -1,17 +1,16 @@
 #include "analysis/liveness.h"
 
+#include <algorithm>
+
 namespace gallium::analysis {
 
-Liveness::Liveness(const ir::Function& fn, const CfgInfo& cfg) {
+Liveness::Liveness(const ir::Function& fn, const CfgInfo& cfg)
+    : live_in_(fn.num_insts(), fn.num_regs()),
+      live_out_(fn.num_insts(), fn.num_regs()) {
   const int nblocks = fn.num_blocks();
-  const size_t nregs = static_cast<size_t>(fn.num_regs());
-  const int ninsts = fn.num_insts();
-
-  live_in_.assign(ninsts, std::vector<bool>(nregs, false));
-  live_out_.assign(ninsts, std::vector<bool>(nregs, false));
-  block_in_.assign(nblocks, std::vector<bool>(nregs, false));
-  std::vector<std::vector<bool>> block_out(nblocks,
-                                           std::vector<bool>(nregs, false));
+  BitMatrix block_in(nblocks, fn.num_regs());
+  const int words = block_in.words_per_row();
+  std::vector<uint64_t> live(words);
 
   bool changed = true;
   while (changed) {
@@ -19,28 +18,26 @@ Liveness::Liveness(const ir::Function& fn, const CfgInfo& cfg) {
     for (int b = nblocks - 1; b >= 0; --b) {
       if (!cfg.BlockReachable(b)) continue;
       // OUT[b] = union of IN[succ].
-      std::vector<bool> out(nregs, false);
+      std::fill(live.begin(), live.end(), 0);
       for (int s : cfg.successors(b)) {
-        for (size_t r = 0; r < nregs; ++r) {
-          if (block_in_[s][r]) out[r] = true;
-        }
+        const uint64_t* in = block_in.Row(s);
+        for (int w = 0; w < words; ++w) live[w] |= in[w];
       }
-      block_out[b] = out;
 
       // Walk the block backwards.
       const ir::BasicBlock& bb = fn.block(b);
-      std::vector<bool> live = out;
       for (int i = static_cast<int>(bb.insts.size()) - 1; i >= 0; --i) {
         const ir::Instruction& inst = bb.insts[i];
-        live_out_[inst.id] = live;
-        for (ir::Reg r : inst.dsts) live[r] = false;
+        std::copy(live.begin(), live.end(), live_out_.Row(inst.id));
+        for (ir::Reg r : inst.dsts) live[r / 64] &= ~(uint64_t{1} << (r % 64));
         for (const ir::Value& v : inst.args) {
-          if (v.is_reg()) live[v.reg] = true;
+          if (v.is_reg()) live[v.reg / 64] |= uint64_t{1} << (v.reg % 64);
         }
-        live_in_[inst.id] = live;
+        std::copy(live.begin(), live.end(), live_in_.Row(inst.id));
       }
-      if (live != block_in_[b]) {
-        block_in_[b] = std::move(live);
+      uint64_t* in = block_in.Row(b);
+      if (!std::equal(live.begin(), live.end(), in)) {
+        std::copy(live.begin(), live.end(), in);
         changed = true;
       }
     }

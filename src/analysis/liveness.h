@@ -7,8 +7,7 @@
 // [and] reuses the memory consumed by variables that are no longer useful").
 #pragma once
 
-#include <vector>
-
+#include "analysis/bit_matrix.h"
 #include "analysis/cfg.h"
 #include "ir/function.h"
 
@@ -19,22 +18,12 @@ class Liveness {
   Liveness(const ir::Function& fn, const CfgInfo& cfg);
 
   // Registers live immediately before / after instruction `id` executes.
-  const std::vector<bool>& LiveIn(ir::InstId id) const {
-    return live_in_[id];
-  }
-  const std::vector<bool>& LiveOut(ir::InstId id) const {
-    return live_out_[id];
-  }
-
-  // Registers live on entry to a block.
-  const std::vector<bool>& BlockLiveIn(int block) const {
-    return block_in_[block];
-  }
+  BitRow LiveIn(ir::InstId id) const { return live_in_.View(id); }
+  BitRow LiveOut(ir::InstId id) const { return live_out_.View(id); }
 
  private:
-  std::vector<std::vector<bool>> live_in_;    // per InstId
-  std::vector<std::vector<bool>> live_out_;   // per InstId
-  std::vector<std::vector<bool>> block_in_;   // per block
+  BitMatrix live_in_;   // per InstId x register
+  BitMatrix live_out_;  // per InstId x register
 };
 
 }  // namespace gallium::analysis

@@ -6,21 +6,6 @@ namespace gallium::analysis {
 
 using ir::Opcode;
 
-std::string Location::ToString(const ir::Function& fn) const {
-  switch (kind) {
-    case Kind::kReg: return "%" + fn.reg_name(index);
-    case Kind::kHeader:
-      return ir::HeaderFieldName(static_cast<ir::HeaderField>(index));
-    case Kind::kPayload: return "payload";
-    case Kind::kMap: return "map:" + fn.map(index).name;
-    case Kind::kVector: return "vec:" + fn.vector(index).name;
-    case Kind::kGlobal: return "global:" + fn.global(index).name;
-    case Kind::kTime: return "time";
-    case Kind::kPacketIo: return "packet_io";
-  }
-  return "?";
-}
-
 ReadWriteSets ComputeReadWriteSets(const ir::Function& fn,
                                    const ir::Instruction& inst) {
   (void)fn;  // kept in the signature: annotations may become per-function

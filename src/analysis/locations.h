@@ -12,7 +12,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "ir/function.h"
@@ -45,12 +44,7 @@ struct Location {
   static Location Time() { return {Kind::kTime, 0}; }
   static Location PacketIo() { return {Kind::kPacketIo, 0}; }
 
-  bool IsState() const {
-    return kind == Kind::kMap || kind == Kind::kVector || kind == Kind::kGlobal;
-  }
-
   auto operator<=>(const Location&) const = default;
-  std::string ToString(const ir::Function& fn) const;
 };
 
 struct ReadWriteSets {

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
-#include <set>
 
 #include "ir/verifier.h"
 
 namespace gallium::partition {
 
-using analysis::Location;
 using ir::InstId;
 using ir::Instruction;
 using ir::Opcode;
@@ -82,7 +81,8 @@ Partitioner::Partitioner(const ir::Function& fn, SwitchConstraints constraints)
       deps_(*owned_deps_),
       liveness_(fn, cfg_),
       insts_(ReachableInsts(fn, cfg_)),
-      replicable_(ComputeReplicable()) {}
+      replicable_(ComputeReplicable()),
+      fixpoint_(fn, cfg_, deps_, replicable_) {}
 
 Partitioner::Partitioner(const ir::Function& fn, SwitchConstraints constraints,
                          const analysis::CfgInfo& cfg,
@@ -93,7 +93,8 @@ Partitioner::Partitioner(const ir::Function& fn, SwitchConstraints constraints,
       deps_(deps),
       liveness_(fn, cfg_),
       insts_(ReachableInsts(fn, cfg_)),
-      replicable_(ComputeReplicable()) {}
+      replicable_(ComputeReplicable()),
+      fixpoint_(fn, cfg_, deps_, replicable_) {}
 
 std::vector<bool> Partitioner::ComputeReplicable() const {
   // A header read may be re-executed by a later partition when no header
@@ -101,20 +102,20 @@ std::vector<bool> Partitioner::ComputeReplicable() const {
   // exactly the value the original read produced. (The ingress-port
   // pseudo-field is excluded: the returning packet arrives on the server
   // port, so the original ingress is not re-derivable.)
+  std::vector<InstId> writes[ir::kNumHeaderFields];
+  for (InstId w = 0; w < fn_.num_insts(); ++w) {
+    if (insts_[w] != nullptr && insts_[w]->op == Opcode::kHeaderWrite) {
+      writes[static_cast<int>(insts_[w]->field)].push_back(w);
+    }
+  }
   std::vector<bool> replicable(fn_.num_insts(), false);
   for (InstId r = 0; r < fn_.num_insts(); ++r) {
     if (insts_[r] == nullptr || insts_[r]->op != Opcode::kHeaderRead) continue;
     if (insts_[r]->field == ir::HeaderField::kIngressPort) continue;
-    bool hazard = false;
-    for (InstId w = 0; w < fn_.num_insts() && !hazard; ++w) {
-      if (insts_[w] == nullptr || insts_[w]->op != Opcode::kHeaderWrite)
-        continue;
-      if (insts_[w]->field == insts_[r]->field &&
-          cfg_.CanHappenAfter(w, r)) {
-        hazard = true;
-      }
-    }
-    replicable[r] = !hazard;
+    const auto& hazards = writes[static_cast<int>(insts_[r]->field)];
+    replicable[r] = std::none_of(hazards.begin(), hazards.end(), [&](InstId w) {
+      return cfg_.CanHappenAfter(w, r);
+    });
   }
   return replicable;
 }
@@ -140,117 +141,92 @@ void Partitioner::InitLabels() {
   }
 }
 
-int Partitioner::RunFixpointOn(std::vector<LabelSet>& labels) const {
-  const int n = fn_.num_insts();
-
-  // Which state (if any) each instruction touches, for rules 3 & 4.
-  std::vector<StateRef> state(n);
-  std::vector<bool> has_state(n, false);
-  for (InstId s = 0; s < n; ++s) {
-    if (insts_[s] != nullptr) {
-      has_state[s] = ir::Function::InstStateRef(*insts_[s], &state[s]);
-    }
+LabelFixpoint::LabelFixpoint(const ir::Function& fn,
+                             const analysis::CfgInfo& cfg,
+                             const analysis::DependencyGraph& deps,
+                             const std::vector<bool>& replicable)
+    : fn_(fn),
+      cfg_(cfg),
+      deps_(deps),
+      fixed_(fn.num_insts()),
+      horizon_(fn.num_insts()) {
+  const std::vector<const Instruction*> insts = ReachableInsts(fn, cfg);
+  std::map<StateRef, std::vector<InstId>> accesses;
+  std::vector<std::vector<InstId>> defs(fn.num_regs());
+  for (InstId s = 0; s < fn.num_insts(); ++s) {
+    if (insts[s] == nullptr) continue;
+    if (deps.SelfDependent(s)) fixed_[s] = LabelSet{false, false};  // rule 5
+    StateRef ref;
+    if (ir::Function::InstStateRef(*insts[s], &ref)) accesses[ref].push_back(s);
+    for (Reg r : insts[s]->dsts) defs[r].push_back(s);
   }
-
-  int removed = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    auto clear_pre = [&](InstId s) {
-      if (labels[s].pre) {
-        labels[s].pre = false;
-        ++removed;
-        changed = true;
-      }
-    };
-    auto clear_post = [&](InstId s) {
-      if (labels[s].post) {
-        labels[s].post = false;
-        ++removed;
-        changed = true;
-      }
-    };
-
-    for (InstId s1 = 0; s1 < n; ++s1) {
-      if (insts_[s1] == nullptr) continue;
-
-      // Rule 5: statements in dependency cycles (loops) are server-only.
-      if (deps_.SelfDependent(s1)) {
-        clear_pre(s1);
-        clear_post(s1);
-      }
-
-      // Every s2 with s1 ⇝* s2 (s2 depends on s1), in increasing id order.
-      deps_.Closure().ForEachInRow(s1, [&](InstId s2) {
-        if (insts_[s2] == nullptr || s1 == s2) return;
-        // Rule 1: if s2 cannot be post, nothing it depends on can be post.
-        if (!labels[s2].post) clear_post(s1);
-        // Rule 2: if s1 cannot be pre, nothing depending on it can be pre.
-        if (!labels[s1].pre) clear_pre(s2);
-
-        // Rules 3 & 4: a global state may be accessed only once on the
-        // switch (single table access per pipeline pass).
-        if (has_state[s1] && has_state[s2] && state[s1] == state[s2]) {
-          if (labels[s1].pre) clear_pre(s2);
-          if (labels[s2].post) clear_post(s1);
-        }
-      });
-    }
-
-    // Rule 6 (pre horizon): the pre pass walks the CFG linearly and stops
-    // at the first branch whose condition it cannot evaluate — one not
-    // produced by a pre or replicable statement (interpreter stop
-    // semantics). A statement beyond such a branch would be silently
-    // skipped by the pre pass on every path through the branch, so it
-    // cannot keep its pre label even when it is not control-dependent on
-    // the branch (e.g. it sits in the post-dominating join block).
-    for (const ir::BasicBlock& bb : fn_.blocks()) {
-      if (bb.insts.empty()) continue;
-      const Instruction& term = bb.insts.back();
-      if (term.op != Opcode::kBranch || insts_[term.id] == nullptr) continue;
-      const ir::Value& cond = term.args[0];
-      bool pre_visible = cond.is_imm();
-      if (!pre_visible) {
-        bool has_def = false;
-        pre_visible = true;
-        for (InstId d = 0; d < n; ++d) {
-          if (insts_[d] == nullptr) continue;
-          for (ir::Reg dst : insts_[d]->dsts) {
-            if (dst != cond.reg) continue;
-            has_def = true;
-            if (!labels[d].pre && !replicable_[d]) pre_visible = false;
-          }
-        }
-        if (!has_def) pre_visible = false;
-      }
-      if (pre_visible) continue;
-      std::vector<bool> seen(fn_.num_blocks(), false);
-      std::vector<int> stack = {term.target_true, term.target_false};
-      while (!stack.empty()) {
-        const int blk = stack.back();
-        stack.pop_back();
-        if (blk < 0 || blk >= fn_.num_blocks() || seen[blk]) continue;
-        seen[blk] = true;
-        const ir::BasicBlock& rb = fn_.block(blk);
-        for (const Instruction& inst : rb.insts) {
-          if (insts_[inst.id] == nullptr || inst.IsTerminator()) continue;
-          clear_pre(inst.id);
-        }
-        if (rb.insts.empty()) continue;
-        const Instruction& t = rb.insts.back();
-        if (t.op == Opcode::kBranch) {
-          stack.push_back(t.target_true);
-          stack.push_back(t.target_false);
-        } else if (t.op == Opcode::kJump) {
-          stack.push_back(t.target_true);
-        }
+  // Rules 3 & 4, which always clear pre(s2) and post(s1) together with
+  // rules 2 and 1.
+  for (const auto& [ref, group] : accesses) {
+    for (InstId a : group) {
+      for (InstId b : group) {
+        if (a == b || !deps.TransitivelyDependsOn(b, a)) continue;
+        fixed_[b].pre = false;
+        fixed_[a].post = false;
       }
     }
   }
-  return removed;
+  // Rule 6: a branch on an immediate is always pre-visible, one on an
+  // undefined register never is, and otherwise it turns on its defs.
+  for (const ir::BasicBlock& bb : fn.blocks()) {
+    if (bb.insts.empty()) continue;
+    const Instruction& term = bb.insts.back();
+    if (term.op != Opcode::kBranch || insts[term.id] == nullptr) continue;
+    const ir::Value& cond = term.args[0];
+    if (cond.is_imm()) continue;
+    if (defs[cond.reg].empty()) undefined_.push_back(bb.id);
+    for (InstId d : defs[cond.reg]) {
+      if (!replicable[d]) horizon_[d].push_back(bb.id);
+    }
+  }
 }
 
-int Partitioner::FixpointLabelRemoval() { return RunFixpointOn(labels_); }
+void LabelFixpoint::Run(std::vector<LabelSet>& labels) const {
+  // Statements whose pre (true) or post (false) label is lost and not yet
+  // propagated. Unreachable statements have no edges, so they change nothing.
+  std::vector<std::pair<InstId, bool>> lost;
+  for (InstId s = 0; s < fn_.num_insts(); ++s) {
+    labels[s].pre = labels[s].pre && fixed_[s].pre;
+    labels[s].post = labels[s].post && fixed_[s].post;
+    if (!labels[s].pre) lost.emplace_back(s, true);
+    if (!labels[s].post) lost.emplace_back(s, false);
+  }
+  auto clear = [&](InstId s, bool pre) {
+    bool& label = pre ? labels[s].pre : labels[s].post;
+    if (label) {
+      label = false;
+      lost.emplace_back(s, pre);
+    }
+  };
+  // Rule 6: every statement past the branch ending `block` loses pre.
+  std::vector<bool> fired(fn_.num_blocks(), false);
+  auto fire = [&](int block) {
+    if (fired[block]) return;
+    fired[block] = true;
+    for (int b = 0; b < fn_.num_blocks(); ++b) {
+      if (!cfg_.BlockCanReach(block, b)) continue;
+      for (const Instruction& inst : fn_.block(b).insts) {
+        if (!inst.IsTerminator()) clear(inst.id, true);
+      }
+    }
+  };
+  for (int block : undefined_) fire(block);
+  while (!lost.empty()) {
+    const auto [s, pre] = lost.back();
+    lost.pop_back();
+    if (!pre) {
+      for (InstId d : deps_.DepsOf(s)) clear(d, false);  // rule 1
+      continue;
+    }
+    for (InstId u : deps_.UsersOf(s)) clear(u, true);  // rule 2
+    for (int block : horizon_[s]) fire(block);
+  }
+}
 
 void Partitioner::ApplyPipelineDepthConstraint() {
   const auto& from_entry = deps_.DistanceFromEntry();
@@ -361,7 +337,7 @@ void Partitioner::ApplySingleAccessConstraint() {
       for (InstId other : on_switch) {
         if (other != keep) trial[other] = LabelSet{false, false};
       }
-      RunFixpointOn(trial);
+      fixpoint_.Run(trial);
       const int count = CountOnSwitch(trial);
       if (count > best_count) {
         best_count = count;
@@ -413,28 +389,34 @@ void Partitioner::DemoteReplicatedStateWrites() {
 }
 
 void Partitioner::DemoteUnsafeSends() {
+  // A pre-partition send/drop must not share a path with non-offloaded
+  // work: the packet would escape before the server's state updates are
+  // committed (output-commit, §4.3.3). Each send lists once the statements
+  // that can happen before or after it.
+  std::vector<std::pair<InstId, std::vector<InstId>>> sends;
+  for (InstId s = 0; s < fn_.num_insts(); ++s) {
+    if (insts_[s] == nullptr ||
+        (insts_[s]->op != Opcode::kSend && insts_[s]->op != Opcode::kDrop))
+      continue;
+    auto& path = sends.emplace_back(s, std::vector<InstId>{}).second;
+    for (InstId t = 0; t < fn_.num_insts(); ++t) {
+      if (insts_[t] == nullptr || t == s) continue;
+      if (insts_[t]->op == Opcode::kJump || insts_[t]->op == Opcode::kReturn)
+        continue;
+      if (cfg_.CanHappenAfter(t, s) || cfg_.CanHappenAfter(s, t)) {
+        path.push_back(t);
+      }
+    }
+  }
   bool changed = true;
   while (changed) {
     changed = false;
-    const auto assignment = AssignmentFromLabels(labels_);
-    for (InstId s = 0; s < fn_.num_insts(); ++s) {
-      if (insts_[s] == nullptr) continue;
-      const Opcode op = insts_[s]->op;
-      if (op != Opcode::kSend && op != Opcode::kDrop) continue;
-      if (assignment[s] != Part::kPre) continue;
-      // A pre-partition send/drop must not share a path with non-offloaded
-      // work: the packet would escape before the server's state updates are
-      // committed (output-commit, §4.3.3).
-      for (InstId t = 0; t < fn_.num_insts(); ++t) {
-        if (insts_[t] == nullptr || t == s) continue;
-        if (assignment[t] == Part::kPre) continue;
-        if (insts_[t]->op == Opcode::kJump || insts_[t]->op == Opcode::kReturn)
-          continue;
-        if (cfg_.CanHappenAfter(t, s) || cfg_.CanHappenAfter(s, t)) {
-          labels_[s].pre = false;
-          changed = true;
-          break;
-        }
+    for (const auto& [s, path] : sends) {
+      if (labels_[s].pre &&
+          std::any_of(path.begin(), path.end(),
+                      [&](InstId t) { return !labels_[t].pre; })) {
+        labels_[s].pre = false;
+        changed = true;
       }
     }
     if (changed) FixpointLabelRemoval();
@@ -512,10 +494,6 @@ std::vector<Part> Partitioner::AssignmentFromLabels(
     }
   }
   return assignment;
-}
-
-std::vector<Part> Partitioner::ComputeAssignment() const {
-  return AssignmentFromLabels(labels_);
 }
 
 void Partitioner::ComputeTransfers(const std::vector<Part>& assignment,
@@ -623,18 +601,21 @@ int Partitioner::ComputeMetadataPeak(
     const std::vector<Part>& assignment) const {
   // Peak bytes of simultaneously-live switch-defined temporaries, measured
   // after each offloaded statement (liveness-based slot reuse, §4.3.1).
-  std::vector<bool> switch_def(fn_.num_regs(), false);
+  std::vector<uint64_t> switch_def((fn_.num_regs() + 63) / 64);
   for (InstId s = 0; s < fn_.num_insts(); ++s) {
     if (insts_[s] == nullptr || assignment[s] == Part::kNonOffloaded) continue;
-    for (Reg r : insts_[s]->dsts) switch_def[r] = true;
+    for (Reg r : insts_[s]->dsts) switch_def[r / 64] |= uint64_t{1} << (r % 64);
   }
   int peak = 0;
   for (InstId s = 0; s < fn_.num_insts(); ++s) {
     if (insts_[s] == nullptr || assignment[s] == Part::kNonOffloaded) continue;
-    const auto& live = liveness_.LiveOut(s);
+    const uint64_t* live = liveness_.LiveOut(s).words;
     int bytes = 0;
-    for (Reg r = 0; r < static_cast<Reg>(fn_.num_regs()); ++r) {
-      if (switch_def[r] && live[r]) bytes += ir::ByteWidth(fn_.reg_width(r));
+    for (size_t w = 0; w < switch_def.size(); ++w) {
+      for (uint64_t bits = live[w] & switch_def[w]; bits; bits &= bits - 1) {
+        const Reg r = static_cast<Reg>(w * 64 + std::countr_zero(bits));
+        bytes += ir::ByteWidth(fn_.reg_width(r));
+      }
     }
     peak = std::max(peak, bytes);
   }
@@ -726,7 +707,7 @@ Result<PartitionPlan> Partitioner::Run() {
 
   PartitionPlan plan;
   plan.labels = labels_;
-  plan.assignment = ComputeAssignment();
+  plan.assignment = AssignmentFromLabels(labels_);
   plan.replicable = replicable_;
   ComputeTransfers(plan.assignment, &plan.to_server, &plan.to_switch);
   plan.metadata_peak_bytes = ComputeMetadataPeak(plan.assignment);

@@ -2,7 +2,7 @@
 //
 // Phase 1 — label removal: every statement starts with the labels
 // {pre, non_off, post} (or {non_off} if P4 cannot express it) and labels are
-// removed to a fixpoint under the five rules of §4.2.1.
+// removed to a fixpoint under the rules of §4.2.1 (see LabelFixpoint).
 //
 // Phase 2 — resource refinement (§4.2.2): the pipeline-depth constraint is
 // applied via the dependency-distance metric, the switch-memory constraint
@@ -35,6 +35,31 @@ namespace gallium::partition {
 bool StatementSupportedByP4(const ir::Function& fn,
                             const ir::Instruction& inst);
 
+// The label-removal fixpoint of §4.2.1. For s1 ⇝* s2: (1) s2 without post
+// takes post from s1; (2) s1 without pre takes pre from s2; (3, 4) on one
+// state, s2 loses pre and s1 loses post; (5) loops lose both; (6) the pre
+// pass stops at a branch on a register with no def or a def neither pre nor
+// replicable, so nothing past it keeps pre. All rules are monotone: a
+// worklist along the direct edges gives the sweep's result (DESIGN.md §4.3).
+class LabelFixpoint {
+ public:
+  // `replicable` marks the header reads every partition may re-execute.
+  LabelFixpoint(const ir::Function& fn, const analysis::CfgInfo& cfg,
+                const analysis::DependencyGraph& deps,
+                const std::vector<bool>& replicable);
+
+  // Removes labels until the rules hold.
+  void Run(std::vector<LabelSet>& labels) const;
+
+ private:
+  const ir::Function& fn_;
+  const analysis::CfgInfo& cfg_;
+  const analysis::DependencyGraph& deps_;
+  std::vector<LabelSet> fixed_;  // rule 5 and the same-state pairs
+  std::vector<int> undefined_;   // blocks branching on a register with no def
+  std::vector<std::vector<int>> horizon_;  // def -> blocks of branches it feeds
+};
+
 class Partitioner {
  public:
   Partitioner(const ir::Function& fn, SwitchConstraints constraints);
@@ -47,14 +72,10 @@ class Partitioner {
 
   Result<PartitionPlan> Run();
 
-  const analysis::CfgInfo& cfg() const { return cfg_; }
-  const analysis::DependencyGraph& deps() const { return deps_; }
-
  private:
   void InitLabels();
-  // Applies rules 1-5 until no label can be removed. Returns the number of
-  // labels removed.
-  int FixpointLabelRemoval();
+  // Removes labels from labels_ until the rules of §4.2.1 hold.
+  void FixpointLabelRemoval() { fixpoint_.Run(labels_); }
   void ApplyPipelineDepthConstraint();  // Constraint 2
   void ApplyMemoryConstraint();         // Constraint 1
   void ApplySingleAccessConstraint();   // Constraint 3 (exhaustive search)
@@ -62,7 +83,6 @@ class Partitioner {
   void DemoteUnsafeSends();
   void ApplyTransferAndMetadataConstraints();  // Constraints 4 & 5 (greedy)
 
-  std::vector<Part> ComputeAssignment() const;
   // Header reads that every partition may re-execute locally: no header
   // write to the same field can happen after them.
   std::vector<bool> ComputeReplicable() const;
@@ -77,7 +97,6 @@ class Partitioner {
   // On-switch statement count under a hypothetical label set (used by the
   // exhaustive single-access search).
   int CountOnSwitch(const std::vector<LabelSet>& labels) const;
-  int RunFixpointOn(std::vector<LabelSet>& labels) const;
 
   Status VerifyPlan(const PartitionPlan& plan) const;
 
@@ -91,6 +110,7 @@ class Partitioner {
   analysis::Liveness liveness_;
   std::vector<const ir::Instruction*> insts_;  // indexed by InstId
   std::vector<bool> replicable_;
+  LabelFixpoint fixpoint_;
   std::vector<LabelSet> labels_;
 };
 
