@@ -14,6 +14,12 @@
 // run-to-completion steady state); connection setup/teardown — which
 // legitimately inserts flow state — happens in the warmup.
 //
+// Each middlebox runs the window twice: once as deployed, and once with
+// per-packet hop tracing on (OffloadedOptions::trace_hops, series
+// {trace="hops"}). Hop events are POD records in a preallocated flight
+// recorder ring, so a traced packet must allocate nothing either; the
+// bench exits non-zero if either pass allocates.
+//
 // Amortized-growth carve-out: the flat cuckoo flow tables (src/state/) may
 // allocate when a table doubles its generation arrays. Growth is triggered
 // by *inserts* past the load-factor threshold, never by lookups, so it can
@@ -45,13 +51,82 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #include "telemetry/flight_recorder.h"
 #include "workload/packet_gen.h"
 
-int main() {
-  using namespace gallium;
-  const uint64_t kSeed = 99;
-  const int kNumFlows = 32;
-  const int kMeasuredPackets = 2048;
-  const int kWorkers = 4;
+namespace {
 
+using namespace gallium;
+
+constexpr uint64_t kSeed = 99;
+constexpr int kNumFlows = 32;
+constexpr int kMeasuredPackets = 2048;
+constexpr int kWorkers = 4;
+
+struct Pass {
+  unsigned long long allocs = 0;
+  uint64_t events = 0;  // flight-recorder events recorded in the window
+};
+
+// One measured window through a fresh engine. `flight` null records into
+// FlightRecorder::Default(), like every untraced run; `trace_hops` turns on
+// per-packet hop events.
+Result<Pass> MeasureWindow(const mbox::MiddleboxSpec& spec,
+                           telemetry::FlightRecorder* flight,
+                           bool trace_hops) {
+  engine::EngineOptions options;
+  options.workers = kWorkers;
+  options.burst = 32;
+  options.runtime.rng_seed = kSeed;
+  options.runtime.flight = flight;
+  options.runtime.trace_hops = trace_hops;
+  GALLIUM_ASSIGN_OR_RETURN(auto eng, engine::Engine::Create(spec, options));
+  telemetry::FlightRecorder& recorder =
+      flight != nullptr ? *flight : telemetry::FlightRecorder::Default();
+
+  // Establish kNumFlows TCP flows (SYN + first data segment, no FIN — a
+  // closed flow would put later data packets back on the insert path) and
+  // build the measured window from their data packets round-robin.
+  Rng rng(kSeed);
+  std::vector<net::Packet> warmup;
+  std::vector<net::Packet> flow_data;
+  for (int f = 0; f < kNumFlows; ++f) {
+    const net::FiveTuple flow = workload::RandomFlow(rng);
+    std::vector<net::Packet> pkts = workload::TcpFlowPackets(flow, 4096);
+    for (size_t i = 0; i + 1 < pkts.size(); ++i) {  // all but the FIN
+      pkts[i].set_ingress_port(mbox::kPortInternal);
+      warmup.push_back(pkts[i]);
+    }
+    net::Packet data = pkts[1];  // first data segment
+    data.set_ingress_port(mbox::kPortInternal);
+    flow_data.push_back(std::move(data));
+  }
+  std::vector<net::Packet> measured;
+  for (int i = 0; i < kMeasuredPackets; ++i) {
+    measured.push_back(flow_data[i % flow_data.size()]);
+  }
+
+  // Warm-up: install all flow state, pin rewritten flows in the director,
+  // and run the measured window once so every slot, table, and scratch
+  // buffer has reached its steady-state capacity.
+  uint64_t now_ms = 0;
+  if (eng->Run(warmup, now_ms + 1).errors != 0) {
+    return Internal("process error (warmup)");
+  }
+  now_ms += warmup.size();
+  eng->Run(measured, now_ms + 1);
+  now_ms += measured.size();
+
+  Pass pass;
+  const unsigned long long before = g_allocs;
+  const uint64_t events_before = recorder.events_recorded();
+  const engine::RunReport report = eng->Run(measured, now_ms + 1);
+  pass.allocs = g_allocs - before;
+  pass.events = recorder.events_recorded() - events_before;
+  if (report.errors != 0) return Internal("process error");
+  return pass;
+}
+
+}  // namespace
+
+int main() {
   bench::RunManifest manifest("alloc_count", kSeed);
   manifest.SetConfig("measured_packets", kMeasuredPackets);
   manifest.SetConfig("workers", kWorkers);
@@ -66,13 +141,18 @@ int main() {
   // established-flow traffic must record nothing (events fire on episodes —
   // mode changes, resizes, backpressure — not per packet).
   manifest.SetConfig("flight_recorder_enabled", 1);
+  // The traced pass ({trace="hops"}) repeats the window with per-packet hop
+  // tracing on, into a recorder that holds the whole window: a traced
+  // packet must allocate nothing either.
+  manifest.SetConfig("traced_pass", 1);
 
   std::printf(
       "Steady-state allocations per packet (engine, %d workers, burst 32)\n",
       kWorkers);
-  bench::PrintRule(60);
-  std::printf("%-18s %12s %16s\n", "Middlebox", "allocs", "allocs/packet");
-  bench::PrintRule(60);
+  bench::PrintRule(66);
+  std::printf("%-18s %12s %16s %16s\n", "Middlebox", "allocs",
+              "allocs/packet", "traced/packet");
+  bench::PrintRule(66);
 
   bool all_zero = true;
   for (const auto& entry : bench::PaperMiddleboxes()) {
@@ -82,78 +162,49 @@ int main() {
                   spec.status().ToString().c_str());
       return 1;
     }
-    engine::EngineOptions options;
-    options.workers = kWorkers;
-    options.burst = 32;
-    options.runtime.rng_seed = kSeed;
-    auto eng = engine::Engine::Create(*spec, options);
-    if (!eng.ok()) {
-      std::printf("%-18s ENGINE ERROR: %s\n", entry.display_name.c_str(),
-                  eng.status().ToString().c_str());
+    auto untraced = MeasureWindow(*spec, nullptr, /*trace_hops=*/false);
+    // Sized for every event of the window on one lane: a packet records at
+    // most a packet.begin and six hops.
+    telemetry::FlightRecorder hops_recorder(kWorkers + 1,
+                                            8 * kMeasuredPackets);
+    auto traced = MeasureWindow(*spec, &hops_recorder, /*trace_hops=*/true);
+    if (!untraced.ok() || !traced.ok()) {
+      std::printf("%-18s %s\n", entry.display_name.c_str(),
+                  (untraced.ok() ? traced : untraced)
+                      .status()
+                      .ToString()
+                      .c_str());
       return 1;
     }
-
-    // Establish kNumFlows TCP flows (SYN + first data segment, no FIN — a
-    // closed flow would put later data packets back on the insert path) and
-    // build the measured window from their data packets round-robin.
-    Rng rng(kSeed);
-    std::vector<net::Packet> warmup;
-    std::vector<net::Packet> flow_data;
-    for (int f = 0; f < kNumFlows; ++f) {
-      const net::FiveTuple flow = workload::RandomFlow(rng);
-      std::vector<net::Packet> pkts = workload::TcpFlowPackets(flow, 4096);
-      for (size_t i = 0; i + 1 < pkts.size(); ++i) {  // all but the FIN
-        pkts[i].set_ingress_port(mbox::kPortInternal);
-        warmup.push_back(pkts[i]);
-      }
-      net::Packet data = pkts[1];  // first data segment
-      data.set_ingress_port(mbox::kPortInternal);
-      flow_data.push_back(std::move(data));
-    }
-    std::vector<net::Packet> measured;
-    for (int i = 0; i < kMeasuredPackets; ++i) {
-      measured.push_back(flow_data[i % flow_data.size()]);
-    }
-
-    // Warm-up: install all flow state, pin rewritten flows in the director,
-    // and run the measured window once so every slot, table, and scratch
-    // buffer has reached its steady-state capacity.
-    uint64_t now_ms = 0;
-    auto warm = (*eng)->Run(warmup, now_ms + 1);
-    now_ms += warmup.size();
-    if (warm.errors != 0) {
-      std::printf("%-18s PROCESS ERROR (warmup)\n", entry.display_name.c_str());
+    const double per_packet =
+        static_cast<double>(untraced->allocs) / kMeasuredPackets;
+    const double traced_per_packet =
+        static_cast<double>(traced->allocs) / kMeasuredPackets;
+    if (untraced->allocs != 0 || traced->allocs != 0) all_zero = false;
+    // Every traced packet records at least its packet.begin and switch.pre.
+    if (traced->events < 2ull * kMeasuredPackets) {
+      std::printf("%-18s hop tracing recorded %llu events for %d packets\n",
+                  entry.display_name.c_str(),
+                  static_cast<unsigned long long>(traced->events),
+                  kMeasuredPackets);
       return 1;
     }
-    (*eng)->Run(measured, now_ms + 1);
-    now_ms += measured.size();
-
-    const unsigned long long before = g_allocs;
-    const uint64_t events_before =
-        telemetry::FlightRecorder::Default().events_recorded();
-    const engine::RunReport report = (*eng)->Run(measured, now_ms + 1);
-    const unsigned long long delta = g_allocs - before;
-    const uint64_t events_delta =
-        telemetry::FlightRecorder::Default().events_recorded() - events_before;
-    if (report.errors != 0) {
-      std::printf("%-18s PROCESS ERROR\n", entry.display_name.c_str());
-      return 1;
-    }
-    const double per_packet = static_cast<double>(delta) / kMeasuredPackets;
-    if (delta != 0) all_zero = false;
-    std::printf("%-18s %12llu %16.4f\n", entry.display_name.c_str(), delta,
-                per_packet);
+    std::printf("%-18s %12llu %16.4f %16.4f\n", entry.display_name.c_str(),
+                untraced->allocs, per_packet, traced_per_packet);
     manifest.RecordResult("bench_allocs_per_packet",
                           {{"mbox", entry.display_name}}, per_packet,
                           "global operator-new calls per steady-state packet");
     manifest.RecordResult(
         "bench_flight_events_per_packet", {{"mbox", entry.display_name}},
-        static_cast<double>(events_delta) / kMeasuredPackets,
+        static_cast<double>(untraced->events) / kMeasuredPackets,
         "flight-recorder events per steady-state packet (recording on)");
+    manifest.RecordResult("bench_allocs_per_packet",
+                          {{"mbox", entry.display_name}, {"trace", "hops"}},
+                          traced_per_packet);
   }
-  bench::PrintRule(60);
+  bench::PrintRule(66);
   std::printf("steady-state data-packet window: %s\n",
               all_zero ? "zero-allocation" : "ALLOCATING (regression)");
   manifest.Write();
-  return 0;
+  return all_zero ? 0 : 1;
 }

@@ -1,7 +1,8 @@
 // Figure 7: TCP microbenchmark throughput for the five middleboxes at
 // packet sizes {100, 500, 1500} bytes. Offloaded Gallium middleboxes use a
-// single server core; FastClick baselines run on 1, 2 and 4 cores. Ten
-// jittered trials per point give the error bars.
+// single server core; FastClick baselines run on 1, 2 and 4 cores. Every
+// Gbps value in this section is a cost-model output (labeled `model`), so
+// it is printed as is: a model has no trial-to-trial spread to report.
 //
 // Shape targets from the paper: Offloaded(1 core) outperforms Click-4c by
 // 20-187%; the gap is largest for small packets; NAT/LB serve ~99.9% of
@@ -23,22 +24,16 @@
 int main() {
   using namespace gallium;
   const perf::CostModel cost;
-  Rng rng(1234);
-  const int kTrials = 10;
   const std::vector<int> kPacketSizes = {100, 500, 1500};
 
   bench::RunManifest manifest("figure7_throughput", 1234);
-  manifest.SetConfig("trials", kTrials);
   manifest.SetConfig("num_flows", 20);
 
-  std::printf(
-      "Figure 7: TCP microbenchmark throughput (Gbps, mean +- stdev of %d "
-      "trials)\n",
-      kTrials);
-  bench::PrintRule(92);
-  std::printf("%-16s %6s %18s %18s %18s %18s\n", "Middlebox", "Size",
+  std::printf("Figure 7: TCP microbenchmark throughput (Gbps, model)\n");
+  bench::PrintRule(64);
+  std::printf("%-16s %6s %10s %10s %10s %10s\n", "Middlebox", "Size",
               "Offloaded", "Click-4c", "Click-2c", "Click-1c");
-  bench::PrintRule(92);
+  bench::PrintRule(64);
 
   for (const auto& entry : bench::PaperMiddleboxes()) {
     auto profile = perf::ProfileMiddlebox(entry.build, /*num_flows=*/20);
@@ -50,25 +45,22 @@ int main() {
     for (int size : kPacketSizes) {
       const double off =
           perf::OffloadedThroughputGbps(cost, *profile, size);
-      auto moff = perf::Jittered(off, kTrials, 0.015, rng);
-      std::printf("%-16s %6d %9.1f +- %5.1f", entry.display_name.c_str(),
-                  size, moff.mean, moff.stdev);
+      std::printf("%-16s %6d %10.1f", entry.display_name.c_str(), size, off);
       manifest.RecordResult("bench_throughput_gbps",
                             {{"mbox", entry.display_name},
                              {"system", "offloaded"},
                              {"packet_bytes", std::to_string(size)}},
-                            moff.mean, "TCP microbenchmark throughput, mean");
+                            off, "TCP microbenchmark throughput, model");
       for (int cores : {4, 2, 1}) {
         const double click = perf::ClickThroughputGbps(
             cost, profile->baseline_stats, size, cores);
-        auto mclick = perf::Jittered(click, kTrials, 0.02, rng);
-        std::printf(" %9.1f +- %5.1f", mclick.mean, mclick.stdev);
+        std::printf(" %10.1f", click);
         manifest.RecordResult(
             "bench_throughput_gbps",
             {{"mbox", entry.display_name},
              {"system", "click-" + std::to_string(cores) + "c"},
              {"packet_bytes", std::to_string(size)}},
-            mclick.mean);
+            click);
       }
       std::printf("\n");
     }
@@ -79,7 +71,7 @@ int main() {
                           profile->fast_path_fraction,
                           "share of packets served on the switch");
   }
-  bench::PrintRule(92);
+  bench::PrintRule(64);
   std::printf(
       "Paper shape: Offloaded(1c) >= Click-4c by 20-187%%, largest gaps at\n"
       "small packet sizes; firewall and proxy never touch the server.\n");

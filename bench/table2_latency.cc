@@ -1,6 +1,7 @@
 // Table 2: end-to-end packet latency through each middlebox — FastClick
 // (every packet visits the server) vs. Gallium (established flows ride the
-// switch fast path). Nptcp-style small TCP probes, mean ± stdev.
+// switch fast path). Nptcp-style small TCP probes. Both columns are
+// cost-model outputs (labeled `model`), printed as is.
 //
 // Paper values: FastClick 22.4-23.2 µs, Gallium 14.8-16.0 µs (≈31% lower).
 #include <cstdio>
@@ -11,20 +12,16 @@
 int main() {
   using namespace gallium;
   const perf::CostModel cost;
-  Rng rng(77);
-  const int kTrials = 20;
   const int kProbeBytes = 64 + 54;  // small Nptcp probe on the wire
 
   bench::RunManifest manifest("table2_latency", 77);
-  manifest.SetConfig("trials", kTrials);
   manifest.SetConfig("probe_bytes", kProbeBytes);
   manifest.SetConfig("num_flows", 20);
 
-  std::printf("Table 2: latency comparison (us, mean +- stdev, %d probes)\n",
-              kTrials);
-  bench::PrintRule(64);
-  std::printf("%-16s %20s %20s\n", "Middlebox", "FastClick", "Gallium");
-  bench::PrintRule(64);
+  std::printf("Table 2: latency comparison (us, model)\n");
+  bench::PrintRule(40);
+  std::printf("%-16s %11s %11s\n", "Middlebox", "FastClick", "Gallium");
+  bench::PrintRule(40);
 
   double sum_reduction = 0;
   int rows = 0;
@@ -38,24 +35,18 @@ int main() {
     const double fastclick =
         perf::FastClickLatencyUs(cost, profile->baseline_stats, kProbeBytes);
     const double gallium = perf::OffloadedFastPathLatencyUs(cost, kProbeBytes);
-    auto mfc = perf::Jittered(fastclick, kTrials, 0.02, rng);
-    auto mga = perf::Jittered(gallium, kTrials, 0.02, rng);
-    std::printf("%-16s %12.2f +- %4.2f %12.2f +- %4.2f\n",
-                entry.display_name.c_str(), mfc.mean, mfc.stdev, mga.mean,
-                mga.stdev);
-    for (const auto& [system, m] :
-         {std::pair{"fastclick", mfc}, std::pair{"gallium", mga}}) {
+    std::printf("%-16s %11.2f %11.2f\n", entry.display_name.c_str(),
+                fastclick, gallium);
+    for (const auto& [system, us] :
+         {std::pair{"fastclick", fastclick}, std::pair{"gallium", gallium}}) {
       manifest.RecordResult("bench_latency_us",
                             {{"mbox", entry.display_name}, {"system", system}},
-                            m.mean, "end-to-end one-way latency, mean");
-      manifest.RecordResult(
-          "bench_latency_stdev_us",
-          {{"mbox", entry.display_name}, {"system", system}}, m.stdev);
+                            us, "end-to-end one-way latency, model");
     }
     sum_reduction += 1.0 - gallium / fastclick;
     ++rows;
   }
-  bench::PrintRule(64);
+  bench::PrintRule(40);
   if (rows > 0) {
     std::printf("Mean latency reduction: %.0f%%  (paper: ~31%%)\n",
                 100.0 * sum_reduction / rows);

@@ -18,6 +18,9 @@ Beyond the schema, semantic checks:
     at least one gallium_*/bench_* series exists.
   - trace: every "X" event sits on a named lane (an "M" thread_name event
     with the same tid), and per-packet hop sequences start at switch.pre.
+    Every "X" event carries args.packet_id, and each packet's slices (keyed
+    by lane and packet_id: ids are per worker) are time-ordered and do not
+    overlap, within SLICE_TOLERANCE_US of timestamp rounding.
   - flight: version is the current dump version, event seqs are strictly
     increasing, every event's lane is inside the dump's lane count.
   - prom: the Prometheus text exposition parses line-by-line (label escaping
@@ -106,6 +109,11 @@ def semantic_metrics(doc):
                    f"to {total}, series count is {metric.get('count')}")
 
 
+# Chrome timestamps are printed in microseconds with three decimals; two
+# rounded values may disagree by a few nanoseconds, far below this bound.
+SLICE_TOLERANCE_US = 1.0
+
+
 def semantic_trace(doc):
     events = doc.get("traceEvents", [])
     named_lanes = {e.get("tid") for e in events if e.get("ph") == "M"
@@ -126,6 +134,21 @@ def semantic_trace(doc):
     for pid, name in first_hop.items():
         if name != "switch.pre":
             yield f"packet {pid}: path starts at {name!r}, not 'switch.pre'"
+    # Every slice names its packet; one packet's slices run back to back.
+    slice_end = {}
+    for i, event in enumerate(hops):
+        packet_id = event.get("args", {}).get("packet_id")
+        if packet_id is None:
+            yield f"traceEvents: X event {i} ({event.get('name')}) has no packet_id"
+            continue
+        key = (event.get("pid"), event.get("tid"), packet_id)
+        start = event.get("ts", 0)
+        if key in slice_end and start < slice_end[key] - SLICE_TOLERANCE_US:
+            yield (f"packet {packet_id} on tid {event.get('tid')}: "
+                   f"{event.get('name')} starts at {start}, before the "
+                   f"previous slice ends at {slice_end[key]}")
+        slice_end[key] = max(slice_end.get(key, start),
+                             start + event.get("dur", 0))
 
 
 FLIGHT_DUMP_VERSION = 1

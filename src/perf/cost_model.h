@@ -13,7 +13,7 @@
 #include <cstdint>
 
 #include "rmt/placement.h"
-#include "telemetry/trace.h"
+#include "telemetry/metrics.h"
 
 namespace gallium::perf {
 

@@ -1,6 +1,6 @@
 #include "perf/harness.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "workload/packet_gen.h"
 
@@ -141,58 +141,6 @@ double OffloadedThroughputGbps(const CostModel& cost,
     achieved = std::min(achieved, server_pps / slow_fraction);
   }
   return achieved * wire_bytes * 8.0 / 1e9;
-}
-
-void StampTrace(const CostModel& cost, int wire_bytes,
-                telemetry::PacketTrace* trace) {
-  double cursor = 0;
-  for (telemetry::TraceHop& hop : trace->hops) {
-    if (hop.duration_us == 0) {
-      if (hop.stage == telemetry::kHopSwitchPre ||
-          hop.stage == telemetry::kHopSwitchPost) {
-        hop.duration_us = hop.stages_occupied > 0
-                              ? cost.SwitchTraversalUs(hop.stages_occupied)
-                              : cost.switch_pipeline_us;
-      } else if (hop.stage == telemetry::kHopWireToServer ||
-                 hop.stage == telemetry::kHopWireToSwitch) {
-        // Gallium header bytes ride the original packet; the wire hop costs
-        // serialization of packet + transfer header plus one NIC traversal.
-        hop.duration_us =
-            cost.WireUs(wire_bytes + hop.transfer_bytes) + cost.nic_latency_us;
-      } else {
-        // Server-side hops (full pass, degraded pass, cache recovery):
-        // priced by the op counts the interpreter recorded there.
-        hop.duration_us =
-            cost.PacketServerUs(hop.ops, wire_bytes, /*payload_bytes=*/0);
-      }
-    }
-    hop.ts_us = cursor;
-    cursor += hop.duration_us;
-  }
-  trace->total_us = cursor;
-  // Fault events recorded without a timestamp land at the end of the packet
-  // (the runtime stamps sync-path events relative to the commit hop).
-  for (telemetry::TraceFaultEvent& ev : trace->events) {
-    if (ev.ts_us == 0) ev.ts_us = cursor;
-  }
-}
-
-Measurement Jittered(double base, int trials, double rel_stddev, Rng& rng) {
-  double sum = 0, sum_sq = 0;
-  for (int t = 0; t < trials; ++t) {
-    const double u1 = std::max(1e-12, rng.NextDouble());
-    const double u2 = rng.NextDouble();
-    const double gauss =
-        std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-    const double sample = base * (1.0 + gauss * rel_stddev);
-    sum += sample;
-    sum_sq += sample * sample;
-  }
-  Measurement m;
-  m.mean = sum / trials;
-  const double var = std::max(0.0, sum_sq / trials - m.mean * m.mean);
-  m.stdev = std::sqrt(var);
-  return m;
 }
 
 }  // namespace gallium::perf

@@ -1,8 +1,9 @@
-// Measurement harness: composes packet-level runtime facts (op counts,
+// Cost-model harness: composes packet-level runtime facts (op counts,
 // fast-path fractions, sync latencies) with the calibrated cost model into
-// the end-to-end numbers the paper reports — latency (Table 2), TCP
+// the modeled end-to-end numbers the paper reports — latency (Table 2), TCP
 // microbenchmark throughput (Fig. 7), and the inputs of the realistic
-// workload simulations (Figs. 8 & 9).
+// workload simulations (Figs. 8 & 9). Every value here is a model output,
+// not a measurement; the benches label it `model`.
 #pragma once
 
 #include <functional>
@@ -12,7 +13,6 @@
 #include "perf/cost_model.h"
 #include "runtime/offloaded_middlebox.h"
 #include "runtime/software_middlebox.h"
-#include "telemetry/trace.h"
 #include "util/rng.h"
 
 namespace gallium::perf {
@@ -32,17 +32,6 @@ struct MiddleboxProfile {
 Result<MiddleboxProfile> ProfileMiddlebox(
     const std::function<Result<mbox::MiddleboxSpec>()>& build, int num_flows,
     uint64_t seed = 7);
-
-// --- Trace stamping ----------------------------------------------------------
-
-// Prices every hop of a packet trace with the cost model: switch passes by
-// the RMT stages they occupied, wire hops by serialization + NIC latency,
-// server hops by the op counts the interpreter recorded. Hops that already
-// carry a duration (sync commits: the runtime stamps the modeled
-// control-plane latency natively) are left alone. Hop timestamps become
-// cumulative offsets from the packet start and `total_us` is filled in.
-void StampTrace(const CostModel& cost, int wire_bytes,
-                telemetry::PacketTrace* trace);
 
 // --- Latency (Table 2) -----------------------------------------------------
 
@@ -73,12 +62,5 @@ double ClickThroughputGbps(const CostModel& cost,
 double OffloadedThroughputGbps(const CostModel& cost,
                                const MiddleboxProfile& profile,
                                int wire_bytes);
-
-// Mean and stddev over `trials` jittered measurements (error bars).
-struct Measurement {
-  double mean = 0;
-  double stdev = 0;
-};
-Measurement Jittered(double base, int trials, double rel_stddev, Rng& rng);
 
 }  // namespace gallium::perf

@@ -20,7 +20,7 @@
 #include "net/packet.h"
 #include "partition/plan.h"
 #include "runtime/state.h"
-#include "telemetry/trace.h"
+#include "telemetry/metrics.h"
 #include "util/inline_vec.h"
 #include "util/status.h"
 

@@ -216,7 +216,8 @@ Result<net::Packet> OffloadedMiddlebox::CrossLink(bool to_server,
        ++attempt) {
     if (attempt > 0) {
       c_.data_retries->Increment();
-      RecordFault("retransmit", to_server ? "switch->server" : "server->switch");
+      flight_->Record(flight_lane_, telemetry::EventId::kLinkRetransmit,
+                      to_server ? 0 : 1, seq);
     }
     chan.Send(frame);
     std::optional<std::vector<uint8_t>> got;
@@ -260,7 +261,6 @@ Result<double> OffloadedMiddlebox::SyncReplicated(
       // The previous delivery (or its ack) vanished; we waited the
       // retransmit timeout, then back off.
       c_.sync_retries->Increment();
-      RecordFault("sync.retry");
       flight_->Record(flight_lane_, telemetry::EventId::kSyncRetry,
                       static_cast<uint64_t>(attempt), batch.seq);
       total_us += timeout_us;
@@ -269,7 +269,6 @@ Result<double> OffloadedMiddlebox::SyncReplicated(
     }
     if (injector_ != nullptr && injector_->DropBatch()) {
       c_.batches_dropped->Increment();
-      RecordFault("sync.batch_drop");
       flight_->Record(flight_lane_, telemetry::EventId::kSyncBatchDrop,
                       batch.seq);
       continue;
@@ -284,7 +283,6 @@ Result<double> OffloadedMiddlebox::SyncReplicated(
       // and commits the batch (the snapshot re-arms the seq high-water
       // mark past it — it can never be double-applied).
       c_.switch_restarts->Increment();
-      RecordFault("switch.restart", "stale epoch on sync");
       flight_->Record(flight_lane_, telemetry::EventId::kSwitchRestart,
                       switch_->epoch());
       needs_resync_ = true;
@@ -299,7 +297,6 @@ Result<double> OffloadedMiddlebox::SyncReplicated(
       // Applied on the switch but the server never learns: the retry is
       // delivered as a duplicate and acked idempotently.
       c_.acks_dropped->Increment();
-      RecordFault("sync.ack_drop");
       flight_->Record(flight_lane_, telemetry::EventId::kSyncAckDrop,
                       batch.seq);
       continue;
@@ -313,7 +310,6 @@ Result<double> OffloadedMiddlebox::SyncReplicated(
   // packet, keep the host authoritative, and rebuild the switch before its
   // next use.
   c_.sync_failures->Increment();
-  RecordFault("sync.failure", "retry budget exhausted");
   flight_->Record(flight_lane_, telemetry::EventId::kSyncFailure, batch.seq,
                   static_cast<uint64_t>(options_.sync_policy.max_sync_attempts));
   needs_resync_ = true;
@@ -334,7 +330,6 @@ double OffloadedMiddlebox::ResyncSwitch() {
   needs_resync_ = false;
   c_.resyncs->Increment();
   c_.resync_latency_us->Observe(latency_us);
-  RecordFault("resync");
   uint64_t replayed = 0;
   for (ir::StateIndex m = 0; m < replicated_maps_.size(); ++m) {
     if (replicated_maps_[m]) replayed += server_state_.MapSize(m);
@@ -354,7 +349,6 @@ void OffloadedMiddlebox::ReconcileSwitchGlobals() {
 void OffloadedMiddlebox::EnsureSwitchCoherent() {
   if (switch_->epoch() != known_epoch_) {
     c_.switch_restarts->Increment();
-    RecordFault("switch.restart", "epoch bump on heartbeat");
     flight_->Record(flight_lane_, telemetry::EventId::kSwitchRestart,
                     switch_->epoch());
     needs_resync_ = true;
@@ -400,48 +394,25 @@ void OffloadedMiddlebox::ProbeSwitchHealth(bool switch_down) {
     }
   } else {
     c_.probe_misses->Increment();
-    RecordFault("probe.miss");
   }
   watchdog_->RecordObservation(ok, latency_us);
 }
 
-telemetry::TraceHop* OffloadedMiddlebox::AddHop(const char* stage) {
-  if (active_trace_ == nullptr) return nullptr;
-  active_trace_->hops.push_back(telemetry::TraceHop{});
-  active_trace_->hops.back().stage = stage;
-  return &active_trace_->hops.back();
+void OffloadedMiddlebox::RecordHop(telemetry::EventId event,
+                                   int64_t ops_total, uint64_t figure) {
+  flight_->Record(flight_lane_, event, packets_total_ - 1,
+                  static_cast<uint64_t>(ops_total), figure);
 }
 
-void OffloadedMiddlebox::RecordFault(const char* kind, std::string detail) {
-  if (active_trace_ == nullptr) return;
-  active_trace_->events.push_back(
-      telemetry::TraceFaultEvent{kind, std::move(detail), 0});
-}
-
-void OffloadedMiddlebox::RecordPassHop(const char* stage, bool on_switch,
-                                       const telemetry::OpCounts& ops) {
-  telemetry::TraceHop* hop = AddHop(stage);
-  hop->ops = ops;
-  if (on_switch) hop->stages_occupied = switch_->stages_occupied();
-}
-
-void OffloadedMiddlebox::RecordWireHop(const char* stage, int transfer_bytes) {
-  AddHop(stage)->transfer_bytes = transfer_bytes;
-}
-
-void OffloadedMiddlebox::RecordSyncHop(double latency_us) {
-  // The modeled control-plane latency is known here — stamp it natively
-  // (perf::StampTrace leaves non-zero durations alone).
-  AddHop(telemetry::kHopSyncCommit)->duration_us = latency_us;
-}
-
-inline void OffloadedMiddlebox::AccountPass(const char* stage, bool on_switch,
+inline void OffloadedMiddlebox::AccountPass(telemetry::EventId hop,
+                                            bool on_switch,
                                             const telemetry::OpCounts& ops,
                                             Outcome* outcome) {
   (on_switch ? outcome->switch_stats : outcome->server_stats) += ops;
   (on_switch ? switch_ops_ : server_ops_).Add(ops);
-  if (active_trace_ != nullptr) [[unlikely]] {
-    RecordPassHop(stage, on_switch, ops);
+  if (options_.trace_hops) [[unlikely]] {
+    RecordHop(hop, ops.Total(),
+              on_switch ? static_cast<uint64_t>(switch_->stages_occupied()) : 0);
   }
 }
 
@@ -504,26 +475,14 @@ void OffloadedMiddlebox::PublishSwitchStageMetrics() {
   flight_->PublishMetrics(registry_);
 }
 
-OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessTraced(
-    net::Packet&& pkt, uint64_t now_ms) {
-  telemetry::PacketTrace trace;
-  trace.packet_id = packets_total();
-  trace.scope = fn_->name();
-  active_trace_ = &trace;
-  Outcome outcome = ProcessInner(std::move(pkt), now_ms);
-  active_trace_ = nullptr;
-  trace.fast_path = outcome.fast_path;
-  trace.degraded = outcome.degraded;
-  trace.ok = outcome.status.ok();
-  options_.tracer->Commit(std::move(trace));
-  return outcome;
-}
-
-OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessInner(net::Packet&& pkt,
-                                                             uint64_t now_ms) {
+OffloadedMiddlebox::Outcome OffloadedMiddlebox::Process(net::Packet pkt,
+                                                        uint64_t now_ms) {
   Outcome outcome;
   const uint64_t pkt_index = packets_total_;
   ++packets_total_;
+  if (options_.trace_hops) [[unlikely]] {
+    RecordHop(telemetry::EventId::kPacketBegin);
+  }
 
   bool switch_down = false;
   if (injector_ != nullptr) {
@@ -573,7 +532,6 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessInner(net::Packet&& pkt,
       // safety, but count it separately: the watchdog's transition count
       // stays the honest measure of mode flapping.
       c_.unwatched_fallbacks->Increment();
-      RecordFault("switch.unreachable", "fallback before watchdog caught up");
       return ProcessDegraded(std::move(pkt), now_ms);
     }
   } else if (switch_down) {
@@ -596,7 +554,6 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessInner(net::Packet&& pkt,
       if (options_.sync_queue.overflow ==
           SyncQueueOptions::OverflowPolicy::kShedIngress) {
         c_.packets_shed->Increment();
-        RecordFault("overload.shed", "backlog at bound; refused at ingress");
         // Episode edges, not per-shed events: a sustained overload sheds
         // thousands of packets and would wrap the lane with noise.
         if (shed_streak_++ == 0) {
@@ -610,7 +567,6 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessInner(net::Packet&& pkt,
       // Backpressure: this packet blocks on an inline drain, paying the
       // legacy-style control-plane wait to get the backlog under the bound.
       c_.backpressure_events->Increment();
-      RecordFault("overload.backpressure", "inline drain at the bound");
       flight_->Record(flight_lane_, telemetry::EventId::kSyncBackpressure,
                       sync_queue_.depth());
       double wait_us = 0;
@@ -662,18 +618,14 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessInner(net::Packet&& pkt,
                                         &plan_.to_server,
                                         cache_mode ? &cached_maps_ : nullptr,
                                         &scratch_);
-  AccountPass(telemetry::kHopSwitchPre, /*on_switch=*/true, pre.stats,
-              &outcome);
+  AccountPass(telemetry::EventId::kHopSwitchPre, /*on_switch=*/true,
+              pre.stats, &outcome);
   if (!pre.status.ok()) {
     outcome.status = pre.status;
     return outcome;
   }
   if (pre.cache_miss_abort) {
     c_.cache_misses->Increment();
-    if (active_trace_ != nullptr) [[unlikely]] {
-      RecordFault("cache_miss", "pre pass aborted on a non-authoritative miss");
-      active_trace_->cache_miss = true;
-    }
     ProcessCacheMiss(std::move(pristine), now_ms, &outcome);
     return outcome;
   }
@@ -701,13 +653,14 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessInner(net::Packet&& pkt,
   net::GalliumHeader header1 = PackTransfer(*fn_, plan_.to_server,
                                             pre.transfer_out);
   outcome.transfer_bytes_to_server = static_cast<int>(header1.WireSize());
-  if (active_trace_ != nullptr) [[unlikely]] {
-    RecordWireHop(telemetry::kHopWireToServer, outcome.transfer_bytes_to_server);
-  }
   net::Packet server_pkt = std::move(pkt);
   server_pkt.set_gallium(std::move(header1));
   {
     auto crossed = CrossLink(/*to_server=*/true, std::move(server_pkt));
+    if (options_.trace_hops) [[unlikely]] {
+      RecordHop(telemetry::EventId::kHopWireToServer, 0,
+                static_cast<uint64_t>(outcome.transfer_bytes_to_server));
+    }
     if (!crossed.ok()) {
       outcome.status = crossed.status();
       needs_resync_ = true;  // the pre pass may have left partial registers
@@ -730,7 +683,8 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessInner(net::Packet&& pkt,
                                         Part::kNonOffloaded, &plan_.to_server,
                                         &in_values1.value(), &plan_.to_switch,
                                         /*cached_maps=*/nullptr, &scratch_);
-  AccountPass(telemetry::kHopServer, /*on_switch=*/false, srv.stats, &outcome);
+  AccountPass(telemetry::EventId::kHopServer, /*on_switch=*/false, srv.stats,
+              &outcome);
   if (!srv.status.ok()) {
     outcome.status = srv.status;
     return outcome;
@@ -756,7 +710,6 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessInner(net::Packet&& pkt,
       sync_queue_.Enqueue(recording.map_mutations(),
                           recording.global_mutations());
       outcome.sync_queued = true;
-      RecordFault("sync.queued");
     } else if (!CommitSync(recording.map_mutations(),
                            recording.global_mutations(),
                            /*holds_packet=*/true, &outcome)) {
@@ -789,7 +742,10 @@ bool OffloadedMiddlebox::CommitSync(
   if (holds_packet) {
     outcome->state_synced = committed;
     outcome->sync_latency_us = *latency;
-    if (active_trace_ != nullptr) [[unlikely]] RecordSyncHop(*latency);
+    if (options_.trace_hops) [[unlikely]] {
+      RecordHop(telemetry::EventId::kHopSyncCommit, 0,
+                static_cast<uint64_t>(*latency));
+    }
   }
   return true;
 }
@@ -799,12 +755,12 @@ void OffloadedMiddlebox::ReturnToSwitch(net::Packet pkt, const ExecResult& srv,
   net::GalliumHeader header = PackTransfer(*fn_, plan_.to_switch,
                                            srv.transfer_out);
   outcome->transfer_bytes_to_switch = static_cast<int>(header.WireSize());
-  if (active_trace_ != nullptr) [[unlikely]] {
-    RecordWireHop(telemetry::kHopWireToSwitch,
-                  outcome->transfer_bytes_to_switch);
-  }
   pkt.set_gallium(std::move(header));
   auto crossed = CrossLink(/*to_server=*/false, std::move(pkt));
+  if (options_.trace_hops) [[unlikely]] {
+    RecordHop(telemetry::EventId::kHopWireToSwitch, 0,
+              static_cast<uint64_t>(outcome->transfer_bytes_to_switch));
+  }
   if (!crossed.ok()) {
     outcome->status = crossed.status();
     needs_resync_ = true;
@@ -824,8 +780,8 @@ void OffloadedMiddlebox::ReturnToSwitch(net::Packet pkt, const ExecResult& srv,
                                          &plan_.to_switch, &in_values.value(),
                                          /*out_spec=*/nullptr,
                                          /*cached_maps=*/nullptr, &scratch_);
-  AccountPass(telemetry::kHopSwitchPost, /*on_switch=*/true, post.stats,
-              outcome);
+  AccountPass(telemetry::EventId::kHopSwitchPost, /*on_switch=*/true,
+              post.stats, outcome);
   if (!post.status.ok()) {
     outcome->status = post.status;
     return;
@@ -847,7 +803,6 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessDegraded(
   Outcome outcome;
   outcome.degraded = true;
   c_.degraded_packets->Increment();
-  RecordFault("degraded", "switch down; software-only fallback");
   if (degraded_streak_++ == 0) {
     flight_->Record(flight_lane_, telemetry::EventId::kDegradedEnter,
                     packets_total_);
@@ -856,7 +811,8 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::ProcessDegraded(
   // the authoritative host store — exactly the SoftwareMiddlebox semantics,
   // so per-flow behavior is indistinguishable from the baseline.
   ExecResult r = interp_.Run(pkt, server_state_, now_ms, &scratch_);
-  AccountPass(telemetry::kHopDegraded, /*on_switch=*/false, r.stats, &outcome);
+  AccountPass(telemetry::EventId::kHopDegraded, /*on_switch=*/false, r.stats,
+              &outcome);
   if (!r.status.ok()) {
     outcome.status = r.status;
     return outcome;
@@ -884,8 +840,8 @@ void OffloadedMiddlebox::ProcessCacheMiss(net::Packet pkt, uint64_t now_ms,
   ExecResult srv = interp_.RunServerFull(pkt, recording, now_ms, plan_,
                                          &plan_.to_switch, cached_maps_,
                                          &scratch_);
-  AccountPass(telemetry::kHopServerFull, /*on_switch=*/false, srv.stats,
-              outcome);
+  AccountPass(telemetry::EventId::kHopServerFull, /*on_switch=*/false,
+              srv.stats, outcome);
   if (!srv.status.ok()) {
     outcome->status = srv.status;
     return;

@@ -35,7 +35,6 @@
 #include "switchsim/switch.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 #include "util/rng.h"
 
 namespace gallium::runtime {
@@ -101,11 +100,13 @@ struct OffloadedOptions {
   // instance registers. The engine scopes each worker shard's counters
   // with {worker=<i>} so shards sharing one registry never collide.
   telemetry::LabelSet extra_labels;
-  // Per-packet INT-style tracing: when set, every Process() call commits a
-  // PacketTrace recording the pre -> sync-channel -> server -> post hop
-  // sequence with op counts and fault events. Null = tracing off; the hot
-  // path then takes a single branch per packet.
-  telemetry::Tracer* tracer = nullptr;
+  // Per-packet INT-style tracing: when on, every Process() call records a
+  // packet.begin and one hop event per layer it crosses (switch.pre ->
+  // wire.to_server -> server -> sync.commit -> wire.to_switch ->
+  // switch.post) on `flight_lane`, each as its layer finishes, so the
+  // gaps between them are measured wall time. Off = one predictable
+  // branch per hop site.
+  bool trace_hops = false;
 
   // Always-on black-box: transition events (watchdog mode changes, shed
   // episodes, resizes, fault windows) land on this recorder's `flight_lane`.
@@ -140,13 +141,7 @@ class OffloadedMiddlebox {
     net::Packet out_packet;
   };
 
-  // Inline dispatch: with tracing off this compiles down to the plain
-  // pre-telemetry call, so the fast path pays one branch, not a wrapper
-  // frame and an extra packet move.
-  Outcome Process(net::Packet pkt, uint64_t now_ms = 0) {
-    if (options_.tracer == nullptr) return ProcessInner(std::move(pkt), now_ms);
-    return ProcessTraced(std::move(pkt), now_ms);
-  }
+  Outcome Process(net::Packet pkt, uint64_t now_ms = 0);
 
   const partition::PartitionPlan& plan() const { return plan_; }
   const ir::Function& fn() const { return *fn_; }
@@ -188,7 +183,7 @@ class OffloadedMiddlebox {
   void FlushSyncBacklog();
 
   // Counters. All live on the metrics registry (one source of truth for
-  // --run output, traces, and exporters); the accessors below are thin
+  // --run output and exporters); the accessors below are thin
   // reads kept for source compatibility with pre-telemetry callers. The
   // two per-packet counters are batched like the op recorders: a plain
   // member is the live value (Process is serialized per instance) and
@@ -341,43 +336,27 @@ class OffloadedMiddlebox {
   uint64_t shed_streak_ = 0;      // consecutive packets shed at ingress
   uint64_t degraded_streak_ = 0;  // consecutive packets served degraded
 
-  // Trace context of the packet currently inside Process(); hops and fault
-  // events recorded by the pass/link/sync helpers attach here. Null when
-  // tracing is off (the runtime is single-threaded per instance).
-  telemetry::PacketTrace* active_trace_ = nullptr;
-
-  // Appends a hop / fault event to the active trace; no-ops when off.
-  telemetry::TraceHop* AddHop(const char* stage);
-  void RecordFault(const char* kind, std::string detail = "");
-  // Cold, out-of-line hop recorders. Call sites in the packet path guard
-  // with `if (active_trace_ != nullptr) [[unlikely]]`, so with tracing off
-  // the hot loop pays one predictable branch per site instead of carrying
-  // the recording bodies (OpCounts copies, vector pushes) inline.
-  [[gnu::cold]] [[gnu::noinline]] void RecordPassHop(
-      const char* stage, bool on_switch, const telemetry::OpCounts& ops);
-  [[gnu::cold]] [[gnu::noinline]] void RecordWireHop(const char* stage,
-                                                     int transfer_bytes);
-  [[gnu::cold]] [[gnu::noinline]] void RecordSyncHop(double latency_us);
+  // Records `event` (packet.begin or a hop) for the packet inside Process()
+  // on this instance's lane: a0 = packet index, a1 = ops_total, a2 = the
+  // hop's own figure (see events.h). Call sites guard with
+  // `if (options_.trace_hops) [[unlikely]]`, so with tracing off the packet
+  // path pays one predictable branch per site and evaluates no argument.
+  [[gnu::cold]] [[gnu::noinline]] void RecordHop(telemetry::EventId event,
+                                                 int64_t ops_total = 0,
+                                                 uint64_t figure = 0);
 
   // Per-pass accounting, shared by every interpreter pass: adds the pass's
   // op counts to the Outcome and to the registry recorder of its location,
-  // and records the trace hop when tracing is on.
-  void AccountPass(const char* stage, bool on_switch,
+  // and records the pass's hop.
+  void AccountPass(telemetry::EventId hop, bool on_switch,
                    const telemetry::OpCounts& ops, Outcome* outcome);
-
-  // The pre-telemetry Process() body; Process() wraps it with trace
-  // begin/commit when a tracer is configured.
-  // Both take an rvalue reference (not by value) so the inline Process
-  // dispatch forwards the packet without an extra header copy.
-  Outcome ProcessInner(net::Packet&& pkt, uint64_t now_ms);
-  Outcome ProcessTraced(net::Packet&& pkt, uint64_t now_ms);
 
   // Cache-miss recovery: a full server pass plus cache-refresh mutations,
   // then the same sync commit and return leg as every slow-path packet.
   // `outcome` already carries the aborted pre attempt's accounting.
   void ProcessCacheMiss(net::Packet pkt, uint64_t now_ms, Outcome* outcome);
 
-  // The slow-path tail shared by ProcessInner and ProcessCacheMiss.
+  // The slow-path tail shared by Process and ProcessCacheMiss.
   //
   // Sync commit (§4.3.3): drains a queued backlog first (so an older queued
   // write cannot land after these), then delivers `maps`/`globals` as one

@@ -5,9 +5,14 @@
 // whose meaning is fixed per id (EventArgName). The taxonomy deliberately
 // covers *transitions* — edges the cumulative counters in metrics.h cannot
 // reconstruct after the fact: which came first, how deep the backlog was
-// when shedding started, how long a resize drain actually took. Steady
-// per-packet activity (bursts, lookups, hits) is intentionally absent;
-// those belong in counters and histograms, not the ring.
+// when shedding started, how long a resize drain actually took. With
+// OffloadedOptions::trace_hops off (the default), steady per-packet
+// activity (bursts, lookups, hits) is intentionally absent; those belong in
+// counters and histograms, not the ring. With it on, every packet also
+// records a packet.begin and one hop event per pipeline layer as that
+// layer finishes, so consecutive timestamps of one packet on its lane are
+// the measured wall time of each layer (FlightRecorder::ToChromeJson draws
+// them as slices).
 //
 // Ids are append-only: dumps are versioned (FlightRecorder::kDumpVersion)
 // and external consumers key on the string name, so renumbering an id is a
@@ -54,6 +59,25 @@ enum class EventId : uint16_t {
   // Engine (src/engine/engine.cc).
   kEngineRingHighWater = 24,  // a0=worker, a1=occupancy, a2=capacity
 
+  // Per-packet hops (src/runtime/offloaded_middlebox.cc), recorded only
+  // with OffloadedOptions::trace_hops, each as its layer finishes.
+  // packet_id is the recording instance's packet index, so each tracing
+  // instance needs a lane of its own (the engine gives worker w lane w+1).
+  // Every hop carries a0=packet_id, a1=ops_total, and its figure in a2.
+  kPacketBegin = 25,      // a0=packet_id
+  kHopSwitchPre = 26,     // switch.pre, a2=rmt_stages
+  kHopWireToServer = 27,  // wire.to_server, a2=transfer_bytes
+  kHopServer = 28,        // server
+  kHopSyncCommit = 29,    // sync.commit, a2=model_latency_us
+  kHopWireToSwitch = 30,  // wire.to_switch, a2=transfer_bytes
+  kHopSwitchPost = 31,    // switch.post, a2=rmt_stages
+  kHopDegraded = 32,      // server.degraded: whole program on the server
+  kHopServerFull = 33,    // server.cache_recovery: §7 cache-miss pass
+
+  // Data links (src/runtime/offloaded_middlebox.cc).
+  kLinkRetransmit = 34,  // a0=direction (0 switch->server, 1 server->switch),
+                         // a1=frame seq
+
   kNumEventIds
 };
 
@@ -63,5 +87,10 @@ const char* EventName(EventId id);
 // Name of argument slot `arg` (0..2) for `id`; nullptr when the slot is
 // unused. Dump writers only serialize named slots.
 const char* EventArgName(EventId id, int arg);
+
+// True for the per-packet hop ids (kHopSwitchPre..kHopServerFull).
+constexpr bool IsHopEvent(EventId id) {
+  return id >= EventId::kHopSwitchPre && id <= EventId::kHopServerFull;
+}
 
 }  // namespace gallium::telemetry

@@ -45,6 +45,16 @@ constexpr EventInfo kEventInfo[] = {
     {"flow_table.forced_migration", "buckets", nullptr, nullptr},
     {"flow_table.sweep", "slots_visited", "expired", nullptr},
     {"engine.ring_high_water", "worker", "occupancy", "capacity"},
+    {"packet.begin", "packet_id", nullptr, nullptr},
+    {"switch.pre", "packet_id", "ops_total", "rmt_stages"},
+    {"wire.to_server", "packet_id", "ops_total", "transfer_bytes"},
+    {"server", "packet_id", "ops_total", nullptr},
+    {"sync.commit", "packet_id", "ops_total", "model_latency_us"},
+    {"wire.to_switch", "packet_id", "ops_total", "transfer_bytes"},
+    {"switch.post", "packet_id", "ops_total", "rmt_stages"},
+    {"server.degraded", "packet_id", "ops_total", nullptr},
+    {"server.cache_recovery", "packet_id", "ops_total", nullptr},
+    {"link.retransmit", "direction", "seq", nullptr},
 };
 static_assert(sizeof(kEventInfo) / sizeof(kEventInfo[0]) ==
                   static_cast<size_t>(EventId::kNumEventIds),
@@ -217,14 +227,46 @@ std::string FlightRecorder::ToChromeJson() const {
     }
     out << "\"}}";
   }
-  char ts_buf[32];
+  // The packet whose hops each lane is drawing, and where its last slice
+  // ended. A lane's writer runs one packet at a time, so the packet's
+  // events are in order on its lane; a hop whose packet.begin was
+  // overwritten by ring wrap finds no open packet and is skipped.
+  struct OpenPacket {
+    bool open = false;
+    uint64_t id = 0;
+    uint64_t last_ns = 0;
+  };
+  std::vector<OpenPacket> open(num_lanes_);
+  // Nanoseconds as Chrome's microsecond timestamps.
+  const auto us = [](uint64_t ns) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) / 1000.0);
+    return std::string(buf);
+  };
   for (const FlightEvent& e : events) {
-    std::snprintf(ts_buf, sizeof(ts_buf), "%.3f",
-                  static_cast<double>(e.ts_ns - base_ns) / 1000.0);
-    out << ",{\"name\":\"" << EventName(static_cast<EventId>(e.id))
-        << "\",\"cat\":\"flight\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,"
-           "\"tid\":"
-        << e.lane << ",\"ts\":" << ts_buf << ",\"args\":";
+    const auto id = static_cast<EventId>(e.id);
+    OpenPacket& pkt = open[e.lane];
+    if (id == EventId::kPacketBegin) {
+      pkt = {true, e.args[0], e.ts_ns};
+      continue;
+    }
+    if (IsHopEvent(id)) {
+      if (!pkt.open || pkt.id != e.args[0]) continue;
+      // The slice runs from the packet's previous event to this hop's own
+      // timestamp: measured wall time, summing to the packet's end-to-end
+      // time.
+      out << ",{\"name\":\"" << EventName(id)
+          << "\",\"cat\":\"packet\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.lane
+          << ",\"ts\":" << us(pkt.last_ns - base_ns)
+          << ",\"dur\":" << us(e.ts_ns - pkt.last_ns)
+          << ",\"args\":";
+      pkt.last_ns = e.ts_ns;
+    } else {
+      out << ",{\"name\":\"" << EventName(id)
+          << "\",\"cat\":\"flight\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,"
+             "\"tid\":"
+          << e.lane << ",\"ts\":" << us(e.ts_ns - base_ns) << ",\"args\":";
+    }
     AppendArgsJson(out, e);
     out << "}";
   }

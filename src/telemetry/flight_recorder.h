@@ -20,9 +20,11 @@
 // Dump formats (both versioned via kDumpVersion):
 //   ToJson()       — {"flight_recorder": {...,"events":[...]}} validated by
 //                    scripts/schema/flight_dump.schema.json.
-//   ToChromeJson() — Chrome trace-event instants, one timeline thread per
-//                    lane, loadable in Perfetto next to the PR 4 packet
-//                    traces.
+//   ToChromeJson() — Chrome trace-event JSON, one timeline thread per lane,
+//                    loadable in Perfetto: per-packet hops (recorded with
+//                    OffloadedOptions::trace_hops) as measured slices,
+//                    every other event as an instant. The repo's only
+//                    Perfetto exporter.
 #pragma once
 
 #include <atomic>
@@ -83,8 +85,13 @@ class FlightRecorder {
 
   // Versioned structured dump (see header comment for schema).
   std::string ToJson() const;
-  // Chrome trace-event rendering: one named thread per lane, instant
-  // events carrying the decoded args.
+  // Chrome trace-event rendering: one named thread per lane. Each hop event
+  // becomes an "X" slice from its packet's previous event on the lane (the
+  // packet.begin or the previous hop) to the hop's own timestamp, so slice
+  // durations are measured wall time that add up to the packet's
+  // end-to-end time; packet.begin itself is not drawn, nor is a packet
+  // whose packet.begin was overwritten by ring wrap. Every other event is
+  // an instant carrying its decoded args.
   std::string ToChromeJson() const;
 
   // Writes ToJson() to `path` and ToChromeJson() to `path` with a

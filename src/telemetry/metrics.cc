@@ -307,4 +307,35 @@ MetricsRegistry& MetricsRegistry::Default() {
   return *registry;
 }
 
+OpCountsRecorder::OpCountsRecorder(MetricsRegistry* registry,
+                                   const std::string& metric_name,
+                                   LabelSet base_labels) {
+  for (size_t i = 0; i < std::size(kOpCountFields); ++i) {
+    LabelSet labels = base_labels;
+    labels.push_back({"kind", kOpCountFields[i].name});
+    counters_[i] = registry->GetCounter(metric_name, std::move(labels),
+                                        "interpreter ops executed, by kind");
+  }
+}
+
+void OpCountsRecorder::Flush() const {
+  if (!bound()) return;
+  for (size_t i = 0; i < std::size(kOpCountFields); ++i) {
+    const int64_t delta = pending_.*(kOpCountFields[i].field);
+    if (delta > 0) counters_[i]->Increment(static_cast<uint64_t>(delta));
+  }
+  pending_ = OpCounts{};
+}
+
+OpCounts OpCountsRecorder::Totals() const {
+  if (!bound()) return pending_;
+  Flush();
+  OpCounts totals;
+  for (size_t i = 0; i < std::size(kOpCountFields); ++i) {
+    totals.*(kOpCountFields[i].field) =
+        static_cast<int64_t>(counters_[i]->Value());
+  }
+  return totals;
+}
+
 }  // namespace gallium::telemetry

@@ -14,10 +14,16 @@
 // so hot paths hold raw pointers and never touch the registration mutex.
 // Exporters render the whole registry as Prometheus text exposition or as
 // JSON (the machine-readable form CI validates against a schema).
+//
+// OpCounts is the one op-count type of the system: the interpreter fills it
+// per pass, Outcomes carry it, OpCountsRecorder sums it onto the registry,
+// and perf::CostModel prices it. It lives here because telemetry is the
+// leaf library every other layer already depends on.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -141,6 +147,77 @@ class MetricsRegistry {
   // Registration order preserved for deterministic export.
   std::vector<std::unique_ptr<Metric>> metrics_;
   std::map<std::string, size_t> index_;  // canonical key -> metrics_ index
+};
+
+// Interpreter op counts of one pass (or a sum of passes), per op kind.
+struct OpCounts {
+  int64_t insts = 0;
+  int64_t alu_ops = 0;
+  int64_t header_ops = 0;
+  int64_t map_lookups = 0;
+  int64_t map_updates = 0;
+  int64_t vector_ops = 0;
+  int64_t global_ops = 0;
+  int64_t payload_ops = 0;
+  int64_t branches = 0;
+
+  OpCounts& operator+=(const OpCounts& other);
+  int64_t Total() const;
+  bool operator==(const OpCounts&) const = default;
+};
+
+// Field table driving the registry recorder and the exporters (one counter
+// / JSON key per op kind, no hand-maintained switch statements).
+struct OpCountField {
+  const char* name;
+  int64_t OpCounts::* field;
+};
+inline constexpr OpCountField kOpCountFields[] = {
+    {"insts", &OpCounts::insts},
+    {"alu", &OpCounts::alu_ops},
+    {"header", &OpCounts::header_ops},
+    {"map_lookup", &OpCounts::map_lookups},
+    {"map_update", &OpCounts::map_updates},
+    {"vector", &OpCounts::vector_ops},
+    {"global", &OpCounts::global_ops},
+    {"payload", &OpCounts::payload_ops},
+    {"branch", &OpCounts::branches},
+};
+
+// Both run on the per-packet hot path (once per pipeline pass) — keep them
+// inline so an optimized build reduces them to straight-line adds.
+inline OpCounts& OpCounts::operator+=(const OpCounts& other) {
+  for (const auto& f : kOpCountFields) this->*(f.field) += other.*(f.field);
+  return *this;
+}
+
+inline int64_t OpCounts::Total() const {
+  int64_t total = 0;
+  for (const auto& f : kOpCountFields) total += this->*(f.field);
+  return total;
+}
+
+// Registry-backed accumulator for op counts: one counter per op kind under
+// a common metric name, distinguished by a "kind" label. Add() is on the
+// per-packet hot path, so it accumulates into a plain local OpCounts (one
+// cache line, no atomics); Flush()/Totals() push the pending deltas onto
+// the registry counters, which remain the durable scrape target. Add and
+// Flush assume a single writer (the owning middlebox serializes Process);
+// the registry counters themselves stay safe to scrape concurrently.
+class OpCountsRecorder {
+ public:
+  OpCountsRecorder() = default;
+  OpCountsRecorder(MetricsRegistry* registry, const std::string& metric_name,
+                   LabelSet base_labels);
+
+  bool bound() const { return counters_[0] != nullptr; }
+  void Add(const OpCounts& counts) { pending_ += counts; }
+  void Flush() const;
+  OpCounts Totals() const;
+
+ private:
+  Counter* counters_[std::size(kOpCountFields)] = {};
+  mutable OpCounts pending_;
 };
 
 }  // namespace gallium::telemetry

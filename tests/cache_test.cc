@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "frontend/middlebox_builder.h"
+#include "hop_trace.h"
 #include "mbox/middleboxes.h"
 #include "runtime/offloaded_middlebox.h"
 #include "runtime/software_middlebox.h"
-#include "telemetry/trace.h"
 #include "workload/packet_gen.h"
 
 namespace gallium::runtime {
@@ -271,12 +271,14 @@ TEST(TableCache, LossyDataLinksStayEquivalentAndExactlyOnce) {
 TEST(TableCache, TraceAndOutcomeOpsReaggregateToRegistryTotals) {
   // In cache mode a missed packet runs an aborted pre pass, the server-full
   // pass and the post pass. Every one of them is counted once: in the
-  // Outcome, in the registry totals, and as a trace hop.
+  // Outcome, in the registry totals, and as a hop event.
   auto spec = mbox::BuildMiniLb();
   ASSERT_TRUE(spec.ok());
-  telemetry::Tracer tracer;
+  telemetry::FlightRecorder recorder(/*lanes=*/2, /*capacity_per_lane=*/4096);
   OffloadedOptions options = CacheOptions(4);
-  options.tracer = &tracer;
+  options.trace_hops = true;
+  options.flight = &recorder;
+  options.flight_lane = 1;
   auto mbx = OffloadedMiddlebox::Create(*spec, options);
   ASSERT_TRUE(mbx.ok()) << mbx.status().ToString();
 
@@ -291,30 +293,31 @@ TEST(TableCache, TraceAndOutcomeOpsReaggregateToRegistryTotals) {
   }
   EXPECT_EQ((*mbx)->switch_op_totals(), switch_total);
   EXPECT_EQ((*mbx)->server_op_totals(), server_total);
+  ASSERT_EQ(recorder.events_dropped(), 0u);
 
-  const auto traces = tracer.Snapshot();
-  ASSERT_EQ(traces.size(), synced.size());
-  telemetry::OpCounts trace_switch, trace_server;
+  const auto packets = testing::HopPackets(recorder);
+  ASSERT_EQ(packets.size(), synced.size());
+  int64_t hop_switch = 0, hop_server = 0;
   int committed_misses = 0, refresh_only_misses = 0;
-  for (size_t i = 0; i < traces.size(); ++i) {
-    const telemetry::PacketTrace& trace = traces[i];
-    for (const auto& hop : trace.hops) {
-      if (hop.stage.rfind("switch.", 0) == 0) trace_switch += hop.ops;
-      if (hop.stage.rfind("server", 0) == 0) trace_server += hop.ops;
+  for (const testing::HopPacket& pkt : packets) {
+    for (const auto& hop : pkt.hops) {
+      if (testing::IsSwitchHop(hop)) hop_switch += hop.args[1];
+      if (testing::IsServerHop(hop)) hop_server += hop.args[1];
     }
-    if (!trace.cache_miss) continue;
+    const std::string path = pkt.Path();
+    if (path.find("server.cache_recovery") == std::string::npos) continue;
     // The aborted pre attempt is a hop of its own, with its op counts. A new
     // flow's insert holds the packet for the sync commit; a pure cache
     // refresh is synced too, but without holding the packet or a hop.
-    EXPECT_GT(trace.hops.front().ops.insts, 0);
-    if (synced[i]) {
+    EXPECT_GT(pkt.hops.front().args[1], 0u);
+    if (synced[pkt.id]) {
       ++committed_misses;
-      EXPECT_EQ(trace.PathString(),
+      EXPECT_EQ(path,
                 "switch.pre -> server.cache_recovery -> sync.commit -> "
                 "wire.to_switch -> switch.post");
     } else {
       ++refresh_only_misses;
-      EXPECT_EQ(trace.PathString(),
+      EXPECT_EQ(path,
                 "switch.pre -> server.cache_recovery -> wire.to_switch -> "
                 "switch.post");
     }
@@ -323,8 +326,8 @@ TEST(TableCache, TraceAndOutcomeOpsReaggregateToRegistryTotals) {
   EXPECT_GT(refresh_only_misses, 0);
   EXPECT_EQ(static_cast<uint64_t>(committed_misses + refresh_only_misses),
             (*mbx)->cache_miss_aborts());
-  EXPECT_EQ(trace_switch, switch_total);
-  EXPECT_EQ(trace_server, server_total);
+  EXPECT_EQ(hop_switch, switch_total.Total());
+  EXPECT_EQ(hop_server, server_total.Total());
 }
 
 TEST(TableCache, DisabledModeUnaffected) {

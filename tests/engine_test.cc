@@ -9,6 +9,7 @@
 #include "engine/engine.h"
 #include "engine/spsc_ring.h"
 #include "engine/steering.h"
+#include "hop_trace.h"
 #include "mbox/middleboxes.h"
 #include "net/packet.h"
 #include "util/rng.h"
@@ -389,6 +390,68 @@ TEST(EngineTest, PublishesPerWorkerTelemetry) {
                     {{"mbox", spec->name}, {"worker", "1"}}, "")
           ->Value();
   EXPECT_EQ(per_worker_packets, static_cast<double>(report.packets));
+}
+
+// Hop tracing through the engine: every packet's hops sit on its owning
+// worker's lane (w + 1), and each lane's packet.begin count is exactly the
+// packets the report says that worker ran.
+TEST(EngineTest, TracedHopsSitOnTheOwningWorkersLane) {
+  auto spec = mbox::BuildMazuNat();
+  ASSERT_TRUE(spec.ok());
+  telemetry::FlightRecorder recorder(/*lanes=*/3, /*capacity_per_lane=*/8192);
+  EngineOptions options;
+  options.workers = 2;
+  options.burst = 8;
+  options.runtime.trace_hops = true;
+  options.runtime.flight = &recorder;
+  auto eng_or = Engine::Create(*spec, options);
+  ASSERT_TRUE(eng_or.ok());
+  Engine& eng = **eng_or;
+
+  Rng rng(31);
+  workload::TraceOptions trace_options;
+  trace_options.num_flows = 24;
+  trace_options.ingress_port = mbox::kPortInternal;
+  const workload::Trace trace = workload::MakeTrace(rng, trace_options);
+  ASSERT_GT(trace.packets.size(), 40u);
+  const size_t half = trace.packets.size() / 2;
+
+  // Packet at a time: each packet's events land on lane owner + 1 only.
+  uint64_t slow_path = 0;
+  for (size_t i = 0; i < half; ++i) {
+    const net::Packet& pkt = trace.packets[i];
+    const int owner = eng.steering().OwnerOf(pkt.five_tuple());
+    const auto before = testing::HopPackets(recorder).size();
+    const uint32_t other_before = recorder.LaneOccupancy(2 - owner);
+    auto out = eng.Process(pkt, 1 + i);
+    ASSERT_TRUE(out.status.ok());
+    if (!out.fast_path) ++slow_path;
+    const auto packets = testing::HopPackets(recorder);
+    ASSERT_EQ(packets.size(), before + 1);
+    EXPECT_EQ(packets.back().lane, owner + 1);
+    EXPECT_FALSE(packets.back().hops.empty());
+    EXPECT_EQ(recorder.LaneOccupancy(2 - owner), other_before);
+  }
+  EXPECT_GT(slow_path, 0u);
+
+  // Burst loop: per lane, packet.begin events == RunReport::worker_packets.
+  recorder.Clear();
+  const std::vector<net::Packet> rest(trace.packets.begin() + half,
+                                      trace.packets.end());
+  const RunReport report = eng.Run(rest, 1 + half);
+  ASSERT_EQ(report.errors, 0u);
+  ASSERT_EQ(recorder.events_dropped(), 0u);
+  uint64_t begins[3] = {0, 0, 0};
+  for (const auto& e : recorder.Snapshot()) {
+    if (e.id == static_cast<uint16_t>(telemetry::EventId::kPacketBegin)) {
+      ++begins[e.lane];
+    }
+  }
+  EXPECT_EQ(begins[0], 0u);
+  EXPECT_EQ(begins[1], report.worker_packets[0]);
+  EXPECT_EQ(begins[2], report.worker_packets[1]);
+  EXPECT_GT(begins[1], 0u);
+  EXPECT_GT(begins[2], 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -120,12 +120,5 @@ TEST(Profiler, FullyOffloadedMiddleboxHasNoSlowPackets) {
   EXPECT_EQ(profile->server_slow_stats.insts, 0);
 }
 
-TEST(Jittered, StatisticsAreSane) {
-  Rng rng(47);
-  const Measurement m = Jittered(100.0, 1000, 0.05, rng);
-  EXPECT_NEAR(m.mean, 100.0, 1.0);
-  EXPECT_NEAR(m.stdev, 5.0, 1.0);
-}
-
 }  // namespace
 }  // namespace gallium::perf

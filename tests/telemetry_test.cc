@@ -1,10 +1,10 @@
 // Telemetry tests: histogram bucket/quantile correctness against an exact
 // reference, counter atomicity under a multithreaded hammer, exposition
-// formats, and the per-packet trace layer — a golden test that a NAT
-// packet's trace reconstructs the pre -> sync -> server -> post pipeline
-// with op counts matching the interpreter's, plus the acceptance
-// cross-check that the registry's op totals equal the summed Outcome stats
-// for all five paper middleboxes.
+// formats, the flight recorder, and per-packet hop tracing — a golden test
+// that a NAT packet's hop events reconstruct the pre -> server -> sync ->
+// post pipeline with op totals matching the interpreter's, plus the
+// acceptance cross-check that the registry's op totals equal the summed
+// Outcome stats for all five paper middleboxes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +12,11 @@
 #include <thread>
 #include <vector>
 
+#include "hop_trace.h"
 #include "mbox/middleboxes.h"
-#include "perf/harness.h"
 #include "runtime/offloaded_middlebox.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 #include "workload/packet_gen.h"
 
 namespace gallium {
@@ -350,35 +349,46 @@ TEST(FlightRecorder, EventNamesCoverEveryId) {
   }
 }
 
-// --- Tracer --------------------------------------------------------------------
+// --- Per-packet hops through the offloaded runtime ------------------------------
 
-TEST(Tracer, RingDropsOldestBeyondCapacity) {
-  telemetry::Tracer tracer(/*capacity=*/2);
-  for (uint64_t id = 0; id < 3; ++id) {
-    telemetry::PacketTrace trace;
-    trace.packet_id = id;
-    tracer.Commit(std::move(trace));
+// Exporter: hops become "X" slices that start at the packet's previous
+// event on the lane, and a packet whose packet.begin was overwritten by
+// ring wrap is not drawn.
+TEST(FlightRecorder, ChromeJsonDrawsHopsAsSlicesFromThePreviousEvent) {
+  using telemetry::EventId;
+  telemetry::FlightRecorder recorder(/*lanes=*/2, /*capacity_per_lane=*/4);
+  recorder.Record(1, EventId::kPacketBegin, 0);  // overwritten below
+  recorder.Record(1, EventId::kHopSwitchPre, 0, 10, 3);
+  recorder.Record(1, EventId::kPacketBegin, 1);
+  recorder.Record(1, EventId::kHopSwitchPre, 1, 10, 3);
+  recorder.Record(1, EventId::kHopWireToServer, 1, 0, 24);
+  const std::string json = recorder.ToChromeJson();
+  size_t slices = 0;
+  for (size_t at = json.find("\"ph\":\"X\""); at != std::string::npos;
+       at = json.find("\"ph\":\"X\"", at + 1)) {
+    ++slices;
   }
-  EXPECT_EQ(tracer.committed(), 3u);
-  EXPECT_EQ(tracer.dropped(), 1u);
-  const auto traces = tracer.Snapshot();
-  ASSERT_EQ(traces.size(), 2u);
-  EXPECT_EQ(traces[0].packet_id, 1u);
-  EXPECT_EQ(traces[1].packet_id, 2u);
+  EXPECT_EQ(slices, 2u) << json;
+  EXPECT_EQ(json.find("\"packet_id\":0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"wire.to_server\""), std::string::npos);
+  EXPECT_NE(json.find("\"transfer_bytes\":24"), std::string::npos);
+  EXPECT_NE(json.find("\"rmt_stages\":3"), std::string::npos);
+  // packet.begin is the first slice's start, not an event of its own.
+  EXPECT_EQ(json.find("\"name\":\"packet.begin\""), std::string::npos);
 }
 
-// --- Per-packet traces through the offloaded runtime -----------------------------
-
 // Golden test: one NAT SYN (slow path, state sync) reconstructs the full
-// pipeline with op counts exactly matching the Outcome's op counts; the
-// causally-dependent reply rides the fast path and shows a pre-pass-only
-// trace.
-TEST(PacketTrace, GoldenNatSlowPathReconstruction) {
+// pipeline from its hop events, with op totals exactly matching the
+// Outcome's op counts; the causally-dependent reply rides the fast path and
+// records a pre-pass-only path.
+TEST(HopTrace, GoldenNatSlowPathReconstruction) {
   auto spec = mbox::BuildMazuNat();
   ASSERT_TRUE(spec.ok());
-  telemetry::Tracer tracer;
+  telemetry::FlightRecorder recorder(/*lanes=*/2, /*capacity_per_lane=*/64);
   runtime::OffloadedOptions options;
-  options.tracer = &tracer;
+  options.trace_hops = true;
+  options.flight = &recorder;
+  options.flight_lane = 1;
   auto mbx = runtime::OffloadedMiddlebox::Create(*spec, options);
   ASSERT_TRUE(mbx.ok()) << mbx.status().ToString();
 
@@ -391,28 +401,35 @@ TEST(PacketTrace, GoldenNatSlowPathReconstruction) {
   ASSERT_FALSE(out.fast_path);
   ASSERT_TRUE(out.state_synced);
 
-  ASSERT_EQ(tracer.committed(), 1u);
-  auto traces = tracer.Snapshot();
-  const telemetry::PacketTrace& trace = traces[0];
-  EXPECT_EQ(trace.scope, spec->name);
-  EXPECT_FALSE(trace.fast_path);
-  EXPECT_TRUE(trace.ok);
-  EXPECT_EQ(trace.PathString(),
+  auto packets = testing::HopPackets(recorder);
+  ASSERT_EQ(packets.size(), 1u);
+  const testing::HopPacket& pkt = packets[0];
+  EXPECT_EQ(pkt.lane, 1u);
+  EXPECT_EQ(pkt.id, 0u);
+  EXPECT_EQ(pkt.Path(),
             "switch.pre -> wire.to_server -> server -> sync.commit -> "
             "wire.to_switch -> switch.post");
 
-  // Op counts per hop match the interpreter's counts exactly.
-  ASSERT_EQ(trace.hops.size(), 6u);
-  telemetry::OpCounts switch_ops = trace.hops[0].ops;  // pre
-  switch_ops += trace.hops[5].ops;                     // post
-  EXPECT_EQ(switch_ops, out.switch_stats);
-  EXPECT_EQ(trace.hops[2].ops, out.server_stats);
-  EXPECT_EQ(trace.hops[1].transfer_bytes, out.transfer_bytes_to_server);
-  EXPECT_EQ(trace.hops[4].transfer_bytes, out.transfer_bytes_to_switch);
-  // The sync hop carries the modeled control-plane latency natively.
-  EXPECT_DOUBLE_EQ(trace.hops[3].duration_us, out.sync_latency_us);
+  // Op totals per hop match the interpreter's counts exactly; each hop
+  // carries its own figure in a2.
+  ASSERT_EQ(pkt.hops.size(), 6u);
+  EXPECT_EQ(static_cast<int64_t>(pkt.hops[0].args[1] + pkt.hops[5].args[1]),
+            out.switch_stats.Total());
+  EXPECT_EQ(static_cast<int64_t>(pkt.hops[2].args[1]),
+            out.server_stats.Total());
+  EXPECT_EQ(pkt.hops[1].args[2],
+            static_cast<uint64_t>(out.transfer_bytes_to_server));
+  EXPECT_EQ(pkt.hops[4].args[2],
+            static_cast<uint64_t>(out.transfer_bytes_to_switch));
+  EXPECT_EQ(pkt.hops[3].args[2], static_cast<uint64_t>(out.sync_latency_us));
+  EXPECT_GT(pkt.hops[0].args[2], 0u);  // RMT stages the pre pass crossed
+  // Hops are stamped as their layer finishes, so their clock never runs
+  // backwards.
+  for (size_t i = 1; i < pkt.hops.size(); ++i) {
+    EXPECT_LE(pkt.hops[i - 1].ts_ns, pkt.hops[i].ts_ns);
+  }
 
-  // The reply is causally dependent -> fast path -> pre-pass-only trace.
+  // The reply is causally dependent -> fast path -> pre-pass-only path.
   net::FiveTuple reply{flow.daddr, mbox::kNatExternalIp, flow.dport,
                        out.out_packet.sport(), net::kIpProtoTcp};
   net::Packet synack =
@@ -421,56 +438,19 @@ TEST(PacketTrace, GoldenNatSlowPathReconstruction) {
   auto out2 = (*mbx)->Process(synack);
   ASSERT_TRUE(out2.status.ok());
   ASSERT_TRUE(out2.fast_path);
-  traces = tracer.Snapshot();
-  ASSERT_EQ(traces.size(), 2u);
-  EXPECT_TRUE(traces[1].fast_path);
-  EXPECT_EQ(traces[1].PathString(), "switch.pre");
-  EXPECT_EQ(traces[1].hops[0].ops, out2.switch_stats);
-}
-
-// StampTrace prices every unstamped hop with the cost model, keeps the
-// natively-stamped sync latency, and produces a contiguous timeline.
-TEST(PacketTrace, StampTraceFillsDurations) {
-  auto spec = mbox::BuildMazuNat();
-  ASSERT_TRUE(spec.ok());
-  telemetry::Tracer tracer;
-  runtime::OffloadedOptions options;
-  options.tracer = &tracer;
-  auto mbx = runtime::OffloadedMiddlebox::Create(*spec, options);
-  ASSERT_TRUE(mbx.ok());
-
-  Rng rng(92);
-  net::Packet syn =
-      net::MakeTcpPacket(workload::RandomFlow(rng), net::kTcpSyn, 0);
-  syn.set_ingress_port(mbox::kPortInternal);
-  auto out = (*mbx)->Process(syn);
-  ASSERT_TRUE(out.status.ok());
-
-  auto traces = tracer.Snapshot();
-  ASSERT_EQ(traces.size(), 1u);
-  telemetry::PacketTrace trace = traces[0];
-  const perf::CostModel cost;
-  perf::StampTrace(cost, /*wire_bytes=*/64, &trace);
-
-  double cursor = 0, sum = 0;
-  for (const auto& hop : trace.hops) {
-    EXPECT_GT(hop.duration_us, 0.0) << hop.stage;
-    EXPECT_DOUBLE_EQ(hop.ts_us, cursor);
-    cursor += hop.duration_us;
-    sum += hop.duration_us;
-  }
-  EXPECT_DOUBLE_EQ(trace.total_us, sum);
-  // The sync hop keeps the runtime's modeled latency.
-  ASSERT_EQ(trace.hops[3].stage, telemetry::kHopSyncCommit);
-  EXPECT_DOUBLE_EQ(trace.hops[3].duration_us, out.sync_latency_us);
-  // Wire hops are priced by serialization + NIC traversal.
-  EXPECT_GT(trace.hops[1].duration_us, cost.nic_latency_us);
+  packets = testing::HopPackets(recorder);
+  ASSERT_EQ(packets.size(), 2u);
+  EXPECT_EQ(packets[1].id, 1u);
+  EXPECT_EQ(packets[1].Path(), "switch.pre");
+  EXPECT_EQ(static_cast<int64_t>(packets[1].hops[0].args[1]),
+            out2.switch_stats.Total());
 }
 
 // Acceptance cross-check: for all five paper middleboxes, the registry's
-// per-op-kind totals equal the summed Outcome op counts, and every trace
-// reconstructs a complete pre-first path.
-TEST(PacketTrace, RegistryOpTotalsMatchOutcomeOpsAcrossPaperMiddleboxes) {
+// per-op-kind totals equal the summed Outcome op counts, every packet's
+// hops reconstruct a complete pre-first path, and the hops' ops_total
+// re-aggregate to the registry's totals.
+TEST(HopTrace, RegistryOpTotalsMatchOutcomeOpsAcrossPaperMiddleboxes) {
   struct Entry {
     const char* name;
     std::function<Result<mbox::MiddleboxSpec>()> build;
@@ -486,9 +466,12 @@ TEST(PacketTrace, RegistryOpTotalsMatchOutcomeOpsAcrossPaperMiddleboxes) {
     SCOPED_TRACE(entry.name);
     auto spec = entry.build();
     ASSERT_TRUE(spec.ok());
-    telemetry::Tracer tracer;
+    telemetry::FlightRecorder recorder(/*lanes=*/2,
+                                       /*capacity_per_lane=*/2048);
     runtime::OffloadedOptions options;
-    options.tracer = &tracer;
+    options.trace_hops = true;
+    options.flight = &recorder;
+    options.flight_lane = 1;
     auto mbx = runtime::OffloadedMiddlebox::Create(*spec, options);
     ASSERT_TRUE(mbx.ok()) << mbx.status().ToString();
 
@@ -501,44 +484,87 @@ TEST(PacketTrace, RegistryOpTotalsMatchOutcomeOpsAcrossPaperMiddleboxes) {
     ASSERT_FALSE(workload_trace.packets.empty());
 
     telemetry::OpCounts switch_total, server_total;
-    uint64_t now_ms = 0, processed = 0;
+    std::vector<bool> fast_path;
+    uint64_t now_ms = 0;
     for (const net::Packet& pkt : workload_trace.packets) {
-      if (processed >= 200) break;
-      ++processed;
+      if (fast_path.size() >= 200) break;
       auto out = (*mbx)->Process(pkt, ++now_ms);
       ASSERT_TRUE(out.status.ok());
       switch_total += out.switch_stats;
       server_total += out.server_stats;
+      fast_path.push_back(out.fast_path);
     }
 
     // Registry totals (the OpCountsRecorder counters) == summed Outcomes.
     EXPECT_EQ((*mbx)->switch_op_totals(), switch_total);
     EXPECT_EQ((*mbx)->server_op_totals(), server_total);
-    EXPECT_EQ((*mbx)->packets_total(), processed);
+    EXPECT_EQ((*mbx)->packets_total(), fast_path.size());
+    ASSERT_EQ(recorder.events_dropped(), 0u);
 
-    // Every trace reconstructs a complete path, and the per-hop op counts
-    // re-aggregate to the same totals.
-    const auto traces = tracer.Snapshot();
-    ASSERT_EQ(traces.size(), processed);
-    telemetry::OpCounts trace_switch_ops, trace_server_ops;
-    for (const auto& trace : traces) {
-      ASSERT_FALSE(trace.hops.empty());
-      EXPECT_EQ(trace.hops.front().stage, telemetry::kHopSwitchPre);
-      if (!trace.fast_path) {
-        EXPECT_NE(trace.PathString().find(telemetry::kHopServer),
-                  std::string::npos);
-      }
-      for (const auto& hop : trace.hops) {
-        if (hop.stage.rfind("switch.", 0) == 0) {
-          trace_switch_ops += hop.ops;
-        } else if (hop.stage.rfind("server", 0) == 0) {
-          trace_server_ops += hop.ops;
-        }
+    // Every packet reconstructs a complete path, and the per-hop op totals
+    // re-aggregate to the registry's.
+    const auto packets = testing::HopPackets(recorder);
+    ASSERT_EQ(packets.size(), fast_path.size());
+    int64_t hop_switch_ops = 0, hop_server_ops = 0;
+    for (const auto& pkt : packets) {
+      ASSERT_FALSE(pkt.hops.empty());
+      EXPECT_EQ(pkt.hops.front().id,
+                static_cast<uint16_t>(telemetry::EventId::kHopSwitchPre));
+      EXPECT_EQ(pkt.hops.size() == 1, static_cast<bool>(fast_path[pkt.id]))
+          << pkt.Path();
+      for (const auto& hop : pkt.hops) {
+        if (testing::IsSwitchHop(hop)) hop_switch_ops += hop.args[1];
+        if (testing::IsServerHop(hop)) hop_server_ops += hop.args[1];
       }
     }
-    EXPECT_EQ(trace_switch_ops, switch_total);
-    EXPECT_EQ(trace_server_ops, server_total);
+    EXPECT_EQ(hop_switch_ops, switch_total.Total());
+    EXPECT_EQ(hop_server_ops, server_total.Total());
   }
+}
+
+// Every data-link retransmit leaves a link.retransmit event (recorded with
+// hop tracing off, like sync.retry), one per gallium_data_retries_total.
+TEST(FlightRecorder, LinkRetransmitEventsMatchDataRetryCounter) {
+  auto spec = mbox::BuildMazuNat();
+  ASSERT_TRUE(spec.ok());
+  runtime::FaultPlan plan;
+  plan.seed = 17;
+  plan.to_server.drop = 0.3;
+  plan.to_switch.drop = 0.3;
+  telemetry::FlightRecorder recorder(/*lanes=*/1, /*capacity_per_lane=*/4096);
+  telemetry::MetricsRegistry registry;
+  runtime::OffloadedOptions options;
+  options.fault_plan = &plan;
+  options.flight = &recorder;
+  options.registry = &registry;
+  auto mbx = runtime::OffloadedMiddlebox::Create(*spec, options);
+  ASSERT_TRUE(mbx.ok()) << mbx.status().ToString();
+
+  Rng rng(5);
+  workload::TraceOptions trace_options;
+  trace_options.num_flows = 40;
+  trace_options.ingress_port = mbox::kPortInternal;
+  uint64_t now_ms = 0;
+  for (const net::Packet& pkt :
+       workload::MakeTrace(rng, trace_options).packets) {
+    (void)(*mbx)->Process(pkt, ++now_ms);
+  }
+
+  uint64_t retransmits = 0;
+  for (const auto& e : recorder.Snapshot()) {
+    if (e.id != static_cast<uint16_t>(telemetry::EventId::kLinkRetransmit)) {
+      continue;
+    }
+    ++retransmits;
+    EXPECT_LE(e.args[0], 1u);  // direction
+    EXPECT_GT(e.args[1], 0u);  // frame seq
+  }
+  ASSERT_EQ(recorder.events_dropped(), 0u);
+  const uint64_t counter =
+      registry.GetCounter("gallium_data_retries_total", {{"mbox", spec->name}})
+          ->Value();
+  EXPECT_GT(counter, 0u);
+  EXPECT_EQ(retransmits, counter);
 }
 
 // Counter-accessor migration: the legacy accessors are thin reads of the

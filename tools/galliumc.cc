@@ -42,17 +42,18 @@
 // timings, the runtime's packet/sync/fault counters, per-op-kind execution
 // counts, and the per-RMT-stage switch counters.
 //
-// --trace-out FILE writes the per-packet traces of the --run traffic as
-// Chrome trace-event JSON (loadable in Perfetto / chrome://tracing), every
-// hop priced by the calibrated cost model.
+// --trace-out FILE switches per-packet hop tracing on for the --run traffic
+// and writes the flight recorder as Chrome trace-event JSON (loadable in
+// Perfetto / chrome://tracing): one slice per hop on the worker lane that
+// ran it, each lasting the measured wall time of its layer.
 //
-// --flight-dump FILE serializes the always-on flight recorder (watchdog
+// --flight-dump FILE serializes the run's flight recorder (watchdog
 // transitions, sync backpressure/shed episodes, flow-table resizes, ring
-// high-water marks) after the run — FILE as versioned JSON plus
-// FILE.trace.json as a Perfetto timeline. SIGUSR2 triggers the same dump
-// mid-run at the next packet boundary. --metrics-every N (engine path)
-// quiesces and rewrites --metrics-out every N packets so a live gallium-top
-// can watch the counters move.
+// high-water marks, and the hops when --trace-out is on) after the run —
+// FILE as versioned JSON plus FILE.trace.json as a Perfetto timeline.
+// SIGUSR2 triggers the same dump mid-run at the next packet boundary.
+// --metrics-every N (engine path) quiesces and rewrites --metrics-out every
+// N packets so a live gallium-top can watch the counters move.
 //
 // --verify gates the compile on translation validation (symbolic path
 // equivalence of the composed pre/server/post pipeline against the source
@@ -70,6 +71,7 @@
 //   4  verification failure: translation validation rejected the plan, an
 //      error-severity lint fired, or a mutation campaign missed a mutant
 //      (JSON diagnostic with per-finding details on stderr)
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -90,7 +92,6 @@
 #include "runtime/sync_queue.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 #include "verify/mutation.h"
 #include "workload/packet_gen.h"
 
@@ -106,8 +107,9 @@ volatile std::sig_atomic_t g_flight_dump_requested = 0;
 
 void OnFlightDumpSignal(int) { g_flight_dump_requested = 1; }
 
-bool DumpFlightRecorder(const std::string& path) {
-  if (!telemetry::FlightRecorder::Default().DumpToFile(path)) {
+bool DumpFlightRecorder(const telemetry::FlightRecorder& flight,
+                        const std::string& path) {
+  if (!flight.DumpToFile(path)) {
     std::fprintf(stderr, "galliumc: cannot write flight dump %s\n",
                  path.c_str());
     return false;
@@ -118,10 +120,12 @@ bool DumpFlightRecorder(const std::string& path) {
 }
 
 // Services a pending SIGUSR2 request, if any.
-void MaybeDumpFlightRecorder(const std::string& path) {
+void MaybeDumpFlightRecorder(const telemetry::FlightRecorder& flight,
+                             const std::string& path) {
   if (g_flight_dump_requested == 0) return;
   g_flight_dump_requested = 0;
-  (void)DumpFlightRecorder(path.empty() ? "gallium_flight_dump.json" : path);
+  (void)DumpFlightRecorder(flight,
+                           path.empty() ? "gallium_flight_dump.json" : path);
 }
 
 bool WriteMetricsFile(telemetry::MetricsRegistry* registry,
@@ -210,12 +214,13 @@ void PrintUsage(std::FILE* to) {
       "                      runtime counters, per-stage switch counters):\n"
       "                      JSON if FILE ends in .json, Prometheus text\n"
       "                      otherwise\n"
-      "  --trace-out FILE    write per-packet traces of the --run traffic\n"
-      "                      as Chrome trace-event JSON (Perfetto-loadable)\n"
+      "  --trace-out FILE    trace every hop of the --run traffic and write\n"
+      "                      the flight recorder as Chrome trace-event JSON\n"
+      "                      (Perfetto-loadable, measured hop durations)\n"
       "  --metrics-every N   (engine path) quiesce and rewrite --metrics-out\n"
       "                      every N packets, so gallium-top can watch the\n"
       "                      run live\n"
-      "  --flight-dump FILE  serialize the always-on flight recorder after\n"
+      "  --flight-dump FILE  serialize the run's flight recorder after\n"
       "                      the run: FILE holds the versioned JSON dump and\n"
       "                      FILE.trace.json the Perfetto timeline; SIGUSR2\n"
       "                      forces a dump mid-run at the next packet\n"
@@ -244,8 +249,8 @@ int Usage() {
 
 // Drives `num_packets` synthetic packets through the offloaded runtime and
 // prints the counters, including the fault/retry/degraded-mode ones. The
-// runtime publishes its counters into `registry` and, when `tracer` is
-// non-null, commits one INT-style trace per packet into it.
+// runtime publishes its counters into `registry` and its events into
+// `flight` (worker w on lane w+1), per-packet hops too when `trace_hops`.
 int RunTraffic(const mbox::MiddleboxSpec& spec, int num_packets,
                uint64_t chaos_seed, bool chaos,
                const std::string& fault_spec,
@@ -254,11 +259,13 @@ int RunTraffic(const mbox::MiddleboxSpec& spec, int num_packets,
                int metrics_every, const std::string& metrics_out,
                const std::string& flight_dump,
                telemetry::MetricsRegistry* registry,
-               telemetry::Tracer* tracer) {
+               telemetry::FlightRecorder* flight, bool trace_hops) {
   runtime::FaultPlan plan;
   runtime::OffloadedOptions options;
   options.registry = registry;
-  options.tracer = tracer;
+  options.flight = flight;
+  options.flight_lane = 1;  // the bare middlebox is worker 0
+  options.trace_hops = trace_hops;
   options.sync_queue = sync_queue;
   options.health.enabled = watchdog;
   options.flow_capacity = flow_capacity;
@@ -340,7 +347,7 @@ int RunTraffic(const mbox::MiddleboxSpec& spec, int num_packets,
       if (metrics_every > 0 && !metrics_out.empty()) {
         (void)WriteMetricsFile(registry, metrics_out);
       }
-      MaybeDumpFlightRecorder(flight_dump);
+      MaybeDumpFlightRecorder(*flight, flight_dump);
     }
 
     const double fast = report.packets == 0
@@ -378,7 +385,7 @@ int RunTraffic(const mbox::MiddleboxSpec& spec, int num_packets,
   int processed = 0, degraded = 0, synced = 0, errors = 0;
   double sync_latency_total = 0;
   while (processed < num_packets) {
-    MaybeDumpFlightRecorder(flight_dump);
+    MaybeDumpFlightRecorder(*flight, flight_dump);
     const net::Packet& pkt =
         trace.packets[processed % trace.packets.size()];
     now_ms += 1;
@@ -630,7 +637,21 @@ int main(int argc, char** argv) {
   // whatever counters the --run runtime publishes, so --metrics-out is a
   // single scrape of everything this run did.
   telemetry::MetricsRegistry registry;
-  telemetry::Tracer tracer;
+  // The run's flight recorder: lane 0 for the control plane plus one lane
+  // per worker. --trace-out sizes the lanes to hold every hop of the run,
+  // up to a fixed cap (a longer run keeps each lane's most recent hops).
+  constexpr uint32_t kTraceEventsPerPacket = 8;  // begin + 6 hops + faults
+  constexpr uint32_t kMaxTraceEventsPerLane = 1u << 16;
+  const uint64_t run_events =
+      static_cast<uint64_t>(std::max(run_packets, 0)) * kTraceEventsPerPacket;
+  const uint32_t lane_capacity =
+      trace_out.empty()
+          ? telemetry::FlightRecorder::kDefaultCapacityPerLane
+          : static_cast<uint32_t>(std::clamp<uint64_t>(
+                run_events, telemetry::FlightRecorder::kDefaultCapacityPerLane,
+                kMaxTraceEventsPerLane));
+  telemetry::FlightRecorder flight(
+      static_cast<uint16_t>(std::max(workers, 1) + 1), lane_capacity);
   for (const auto& [phase, us] : result->phase_times_us) {
     registry
         .GetGauge("galliumc_compile_phase_us",
@@ -734,7 +755,7 @@ int main(int argc, char** argv) {
     rc = RunTraffic(*spec, run_packets, chaos_seed, chaos, fault_spec,
                     sync_queue, watchdog, workers, burst, flow_capacity,
                     metrics_every, metrics_out, flight_dump, &registry,
-                    trace_out.empty() ? nullptr : &tracer);
+                    &flight, /*trace_hops=*/!trace_out.empty());
   }
   if (!metrics_out.empty()) {
     const bool json = metrics_out.size() >= 5 &&
@@ -746,26 +767,15 @@ int main(int argc, char** argv) {
                 json ? "json" : "prometheus", registry.size(),
                 metrics_out.c_str());
   }
-  if (!flight_dump.empty() && !DumpFlightRecorder(flight_dump)) {
+  if (!flight_dump.empty() && !DumpFlightRecorder(flight, flight_dump)) {
     return 1;
   }
   if (!trace_out.empty()) {
-    // Stamp every hop with the cost model and lay the packets out
-    // back-to-back on the trace clock so Perfetto shows the run as one
-    // contiguous timeline (64B packets, the paper's microbenchmark size).
-    const perf::CostModel cost;
-    std::vector<telemetry::PacketTrace> traces = tracer.Snapshot();
-    double clock_us = 0;
-    for (telemetry::PacketTrace& trace : traces) {
-      perf::StampTrace(cost, /*wire_bytes=*/64, &trace);
-      trace.start_us = clock_us;
-      clock_us += trace.total_us + 1.0;  // 1us inter-packet gap
-    }
-    if (!WriteFile(trace_out, telemetry::TracesToChromeJson(traces))) {
-      return 1;
-    }
-    std::printf("  wrote %zu packet traces to %s\n", traces.size(),
-                trace_out.c_str());
+    if (!WriteFile(trace_out, flight.ToChromeJson())) return 1;
+    std::printf("  wrote hop trace to %s (%llu events, %llu overwritten)\n",
+                trace_out.c_str(),
+                static_cast<unsigned long long>(flight.events_recorded()),
+                static_cast<unsigned long long>(flight.events_dropped()));
   }
   return rc;
 }
