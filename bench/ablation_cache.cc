@@ -67,7 +67,8 @@ int main() {
     std::printf("%12s %14s %16.4f %12llu %12llu\n", label.c_str(),
                 FormatBytes(resources.memory_bytes_used).c_str(),
                 (*mbx)->FastPathFraction(),
-                static_cast<unsigned long long>((*mbx)->cache_miss_aborts()),
+                static_cast<unsigned long long>(
+                    (*mbx)->counters().cache_misses->Value()),
                 static_cast<unsigned long long>(
                     table != nullptr ? table->evictions() : 0));
   }

@@ -123,17 +123,21 @@ def semantic_trace(doc):
         if event.get("tid") not in named_lanes:
             yield f"traceEvents: X event {i} on unnamed lane tid={event.get('tid')}"
             break
-    # Reconstruct per-packet hop sequences: every packet's first hop (by
-    # appearance order; hops of one packet are emitted in order) is the
-    # switch pre-pass.
-    first_hop = {}
+    # Reconstruct per-packet hop sequences (hops of one packet are emitted
+    # in order; packet ids count per lane, so a packet is keyed by its lane).
+    # Every path starts at the switch pre-pass, except a packet served while
+    # the switch was down, whose whole path is the one 'server.degraded' hop.
+    paths = {}
     for event in hops:
-        pid = event.get("args", {}).get("packet_id")
-        if pid is not None and pid not in first_hop:
-            first_hop[pid] = event.get("name")
-    for pid, name in first_hop.items():
-        if name != "switch.pre":
-            yield f"packet {pid}: path starts at {name!r}, not 'switch.pre'"
+        packet_id = event.get("args", {}).get("packet_id")
+        if packet_id is not None:
+            key = (event.get("pid"), event.get("tid"), packet_id)
+            paths.setdefault(key, []).append(event.get("name"))
+    for (_, tid, packet_id), path in paths.items():
+        if path[0] == "switch.pre" or path == ["server.degraded"]:
+            continue
+        yield (f"packet {packet_id} on tid {tid}: path starts at "
+               f"{path[0]!r}, not 'switch.pre'")
     # Every slice names its packet; one packet's slices run back to back.
     slice_end = {}
     for i, event in enumerate(hops):

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 
 namespace gallium::runtime {
 
@@ -241,16 +240,11 @@ Result<net::Packet> OffloadedMiddlebox::CrossLink(bool to_server,
       std::to_string(options_.sync_policy.max_data_attempts) + " attempts");
 }
 
-Result<double> OffloadedMiddlebox::SyncReplicated(
-    const std::vector<RecordingStateBackend::MapMutation>& maps,
-    const std::vector<RecordingStateBackend::GlobalMutation>& globals,
-    bool* committed) {
+Result<double> OffloadedMiddlebox::SyncReplicated(bool* committed) {
   *committed = false;
-  SyncBatch batch;
+  SyncBatch& batch = sync_batch_;
   batch.seq = ++next_sync_seq_;
   batch.epoch = known_epoch_;
-  batch.maps = maps;
-  batch.globals = globals;
   c_.sync_batches_sent->Increment();
 
   double total_us = 0;
@@ -356,28 +350,45 @@ void OffloadedMiddlebox::EnsureSwitchCoherent() {
   if (needs_resync_) ResyncSwitch();
 }
 
-Status OffloadedMiddlebox::PumpSyncBacklog(double* latency_out) {
+Result<double> OffloadedMiddlebox::DeliverSyncBacklog(Outcome* held) {
+  if (sync_queue_.empty()) return 0.0;
   const uint64_t depth_before = sync_queue_.depth();
-  std::vector<RecordingStateBackend::MapMutation> maps;
-  std::vector<RecordingStateBackend::GlobalMutation> globals;
-  sync_queue_.DrainInto(&maps, &globals);
-  if (maps.empty() && globals.empty()) return Status::Ok();
-  c_.backlog_pumps->Increment();
+  sync_queue_.DrainInto(&sync_batch_.maps, &sync_batch_.globals);
+  if (held == nullptr) c_.backlog_pumps->Increment();
   bool committed = false;
-  auto latency = SyncReplicated(maps, globals, &committed);
-  if (!latency.ok()) return latency.status();
+  GALLIUM_ASSIGN_OR_RETURN(double latency, SyncReplicated(&committed));
+  if (held != nullptr) {
+    held->state_synced = committed;
+    held->sync_latency_us = latency;
+    if (options_.trace_hops) [[unlikely]] {
+      RecordHop(telemetry::EventId::kHopSyncCommit, 0,
+                static_cast<uint64_t>(latency));
+    }
+    return latency;
+  }
   flight_->Record(flight_lane_, telemetry::EventId::kSyncBacklogPump,
-                  maps.size() + globals.size(),
-                  static_cast<uint64_t>(*latency), depth_before);
+                  sync_batch_.maps.size() + sync_batch_.globals.size(),
+                  static_cast<uint64_t>(latency), depth_before);
   // A pump is control-plane evidence just like a heartbeat: its outcome and
   // latency feed the failure detector.
-  if (watchdog_ != nullptr) watchdog_->RecordObservation(committed, *latency);
-  if (latency_out != nullptr) *latency_out = *latency;
-  return Status::Ok();
+  if (watchdog_ != nullptr) watchdog_->RecordObservation(committed, latency);
+  return latency;
+}
+
+Status OffloadedMiddlebox::SubmitSync(
+    const std::vector<RecordingStateBackend::MapMutation>& maps,
+    const std::vector<RecordingStateBackend::GlobalMutation>& globals,
+    Outcome* held) {
+  sync_queue_.Enqueue(maps, globals);
+  if (options_.sync_queue.enabled() && globals.empty()) {
+    if (held != nullptr) held->sync_queued = true;
+    return Status::Ok();
+  }
+  return DeliverSyncBacklog(held).status();
 }
 
 void OffloadedMiddlebox::FlushSyncBacklog() {
-  if (!sync_queue_.empty()) (void)PumpSyncBacklog(nullptr);
+  (void)DeliverSyncBacklog(nullptr);
   // A failed delivery left needs_resync_ set; make the replica match now.
   EnsureSwitchCoherent();
 }
@@ -426,25 +437,22 @@ void OffloadedMiddlebox::PublishSwitchStageMetrics() {
   switch_ops_.Flush();
   server_ops_.Flush();
   switch_->PublishStageMetrics(registry_, scope_);
-  if (options_.sync_queue.enabled()) {
-    const telemetry::LabelSet& scope = scope_;
-    registry_
-        ->GetGauge("gallium_sync_backlog_depth", scope,
-                   "queued sync batches awaiting the next pump")
-        ->Set(static_cast<double>(sync_queue_.depth()));
-    registry_
-        ->GetGauge("gallium_sync_backlog_peak_depth", scope,
-                   "high-water mark of the sync backlog")
-        ->Set(static_cast<double>(sync_queue_.peak_depth()));
-    registry_
-        ->GetGauge("gallium_sync_coalesced_mutations", scope,
-                   "queued mutations superseded by a later same-key write")
-        ->Set(static_cast<double>(sync_queue_.coalesced_mutations()));
-    registry_
-        ->GetGauge("gallium_sync_enqueued_mutations", scope,
-                   "replicated-state mutations that entered the backlog")
-        ->Set(static_cast<double>(sync_queue_.enqueued_mutations()));
-  }
+  registry_
+      ->GetGauge("gallium_sync_backlog_depth", scope_,
+                 "queued sync batches awaiting the next pump")
+      ->Set(static_cast<double>(sync_queue_.depth()));
+  registry_
+      ->GetGauge("gallium_sync_backlog_peak_depth", scope_,
+                 "high-water mark of the sync backlog")
+      ->Set(static_cast<double>(sync_queue_.peak_depth()));
+  registry_
+      ->GetGauge("gallium_sync_coalesced_mutations", scope_,
+                 "queued mutations superseded by a later same-key write")
+      ->Set(static_cast<double>(sync_queue_.coalesced_mutations()));
+  registry_
+      ->GetGauge("gallium_sync_enqueued_mutations", scope_,
+                 "replicated-state mutations that entered the backlog")
+      ->Set(static_cast<double>(sync_queue_.enqueued_mutations()));
   if (watchdog_ != nullptr) {
     const telemetry::LabelSet& scope = scope_;
     registry_
@@ -564,18 +572,17 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::Process(net::Packet pkt,
         outcome.verdict.kind = Verdict::Kind::kDrop;
         return outcome;
       }
-      // Backpressure: this packet blocks on an inline drain, paying the
-      // legacy-style control-plane wait to get the backlog under the bound.
+      // Backpressure: this packet blocks on an inline drain, paying a
+      // strict-mode control-plane wait to get the backlog under the bound.
       c_.backpressure_events->Increment();
       flight_->Record(flight_lane_, telemetry::EventId::kSyncBackpressure,
                       sync_queue_.depth());
-      double wait_us = 0;
-      Status drained = PumpSyncBacklog(&wait_us);
-      outcome.sync_latency_us += wait_us;
-      if (!drained.ok()) {
-        outcome.status = drained;
+      auto waited = DeliverSyncBacklog(nullptr);
+      if (!waited.ok()) {
+        outcome.status = waited.status();
         return outcome;
       }
+      outcome.sync_latency_us += *waited;
     }
     // This packet was admitted: close any open shed episode.
     if (shed_streak_ != 0) {
@@ -587,12 +594,10 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::Process(net::Packet pkt,
     // switch staleness is bounded by pump_interval_packets.
     if (++packets_since_pump_ >= options_.sync_queue.pump_interval_packets) {
       packets_since_pump_ = 0;
-      if (!sync_queue_.empty()) {
-        Status pumped = PumpSyncBacklog(nullptr);
-        if (!pumped.ok()) {
-          outcome.status = pumped;
-          return outcome;
-        }
+      auto pumped = DeliverSyncBacklog(nullptr);
+      if (!pumped.ok()) {
+        outcome.status = pumped.status();
+        return outcome;
       }
     }
   }
@@ -694,25 +699,20 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::Process(net::Packet pkt,
   // replicated-state mutation is visible on the switch (§4.3.3) — or, under
   // a control-plane outage, until the retry budget is exhausted and the
   // switch is marked for full resync. In queued mode the commit is relaxed
-  // for map mutations: they join the coalescing backlog and the packet is
+  // for map mutations: they wait in the coalescing backlog and the packet is
   // released now. That deferral is sound only because map staleness is
   // *detectable* — a queued insert the switch has not seen surfaces as a
   // table miss, which routes the packet to the server for an authoritative
   // recompute against the host store. A replicated global has no miss path
   // (the switch reads whatever the register holds, e.g. mazu_nat's
-  // port_counter feeding allocations), so any batch carrying a global
-  // mutation keeps strict output commit: the backlog drains first to
-  // preserve ordering, then the whole batch syncs inline.
+  // port_counter feeding allocations), so a batch carrying a global
+  // mutation is delivered at once, the older backlog in the same atomic
+  // batch ahead of it, and the packet waits.
   if (recording.HasMutations()) {
-    const bool deferrable = options_.sync_queue.enabled() &&
-                            recording.global_mutations().empty();
-    if (deferrable) {
-      sync_queue_.Enqueue(recording.map_mutations(),
-                          recording.global_mutations());
-      outcome.sync_queued = true;
-    } else if (!CommitSync(recording.map_mutations(),
-                           recording.global_mutations(),
-                           /*holds_packet=*/true, &outcome)) {
+    Status synced = SubmitSync(recording.map_mutations(),
+                               recording.global_mutations(), &outcome);
+    if (!synced.ok()) {
+      outcome.status = synced;
       return outcome;
     }
   }
@@ -720,34 +720,6 @@ OffloadedMiddlebox::Outcome OffloadedMiddlebox::Process(net::Packet pkt,
   // --- 4. Wire: server -> switch, then the post-processing pass ----------------
   ReturnToSwitch(std::move(server_pkt), srv, now_ms, &outcome);
   return outcome;
-}
-
-bool OffloadedMiddlebox::CommitSync(
-    const std::vector<RecordingStateBackend::MapMutation>& maps,
-    const std::vector<RecordingStateBackend::GlobalMutation>& globals,
-    bool holds_packet, Outcome* outcome) {
-  if (options_.sync_queue.enabled() && !sync_queue_.empty()) {
-    Status drained = PumpSyncBacklog(nullptr);
-    if (!drained.ok()) {
-      outcome->status = drained;
-      return false;
-    }
-  }
-  bool committed = false;
-  auto latency = SyncReplicated(maps, globals, &committed);
-  if (!latency.ok()) {
-    outcome->status = latency.status();
-    return false;
-  }
-  if (holds_packet) {
-    outcome->state_synced = committed;
-    outcome->sync_latency_us = *latency;
-    if (options_.trace_hops) [[unlikely]] {
-      RecordHop(telemetry::EventId::kHopSyncCommit, 0,
-                static_cast<uint64_t>(*latency));
-    }
-  }
-  return true;
 }
 
 void OffloadedMiddlebox::ReturnToSwitch(net::Packet pkt, const ExecResult& srv,
@@ -848,24 +820,29 @@ void OffloadedMiddlebox::ProcessCacheMiss(net::Packet pkt, uint64_t now_ms,
   }
 
   // Build one atomic batch: the packet's replicated-state mutations plus a
-  // cache refresh for every (still-present) key the packet looked up. Cache
+  // cache refresh for every (still-present) key the packet looked up; the
+  // backlog's last-writer-wins folds repeated keys into one write. Cache
   // refreshes must install synchronously (the next pre pass relies on
-  // them), so this batch never joins the backlog, even in queued mode.
+  // them), so this batch never waits in the backlog, even in queued mode.
+  // The delivery is this packet's output commit only if the packet itself
+  // mutated state; a refresh-only delivery counts as a pump.
   std::vector<RecordingStateBackend::MapMutation> mutations =
       recording.map_mutations();
-  std::set<std::pair<ir::StateIndex, StateKey>> seen;
   for (const auto& [map, key] : srv.cached_lookups) {
-    if (!seen.insert({map, key}).second) continue;
     StateValue value;
     if (server_state_.MapLookup(map, key, &value)) {
       mutations.push_back(
           RecordingStateBackend::MapMutation{map, key, value, false});
     }
   }
-  if ((!mutations.empty() || !recording.global_mutations().empty()) &&
-      !CommitSync(mutations, recording.global_mutations(),
-                  /*holds_packet=*/recording.HasMutations(), outcome)) {
-    return;
+  if (!mutations.empty() || !recording.global_mutations().empty()) {
+    sync_queue_.Enqueue(mutations, recording.global_mutations());
+    auto delivered =
+        DeliverSyncBacklog(recording.HasMutations() ? outcome : nullptr);
+    if (!delivered.ok()) {
+      outcome->status = delivered.status();
+      return;
+    }
   }
 
   ReturnToSwitch(std::move(pkt), srv, now_ms, outcome);
@@ -909,18 +886,11 @@ Result<int> OffloadedMiddlebox::CollectIdleFlows(ir::StateIndex flows_map,
     mutations.push_back(
         RecordingStateBackend::MapMutation{created_map, key, {}, true});
   }
-  if (options_.sync_queue.enabled()) {
-    // Queue the erases behind any pending writes to the same keys: per-key
-    // last-writer-wins then guarantees the erase is what the switch ends up
-    // seeing, exactly as the host store does.
-    sync_queue_.Enqueue(mutations, {});
-    return static_cast<int>(expired.size());
-  }
-  bool committed = false;
-  GALLIUM_ASSIGN_OR_RETURN(double latency,
-                           SyncReplicated(mutations, {}, &committed));
-  (void)latency;
-  (void)committed;  // on failure the switch is marked for resync
+  // The erases queue behind any pending writes to the same keys: per-key
+  // last-writer-wins then guarantees the erase is what the switch ends up
+  // seeing, exactly as the host store does. A failed delivery marks the
+  // switch for resync.
+  GALLIUM_RETURN_IF_ERROR(SubmitSync(mutations, {}, nullptr));
   return static_cast<int>(expired.size());
 }
 

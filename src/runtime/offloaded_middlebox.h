@@ -68,16 +68,18 @@ struct OffloadedOptions {
   // Retry/backoff policy for the reliable sync client and the data link.
   SyncPolicy sync_policy;
 
-  // Overload handling: when sync_queue.enabled(), replicated *map*
-  // mutations are enqueued into a bounded coalescing backlog (relaxed
-  // output commit; the host store stays authoritative and a stale switch
-  // miss falls through to the server) and drained as one coalesced
-  // control-plane batch every pump_interval_packets. Batches carrying a
-  // replicated-global mutation keep strict output commit — register reads
-  // have no miss path, so their staleness would be undetectable. At the
-  // bound, the overflow policy either drains inline (backpressure) or
-  // refuses the packet at ingress (explicit shedding, Outcome::shed).
-  // Disabled = the legacy inline blocking sync path.
+  // Control-plane backlog. Every replicated-state mutation enters the
+  // coalescing backlog, and every batch the switch receives is the drained
+  // backlog. With a bound (max_backlog_batches > 0), a batch of *map*
+  // mutations waits there (relaxed output commit; the host store stays
+  // authoritative and a stale switch miss falls through to the server) and
+  // is delivered with the next pump, every pump_interval_packets. A batch
+  // carrying a replicated-global mutation is delivered at once, older
+  // backlog included, with the packet held — register reads have no miss
+  // path, so their staleness would be undetectable. At the bound, the
+  // overflow policy either drains inline (backpressure) or refuses the
+  // packet at ingress (explicit shedding, Outcome::shed). Bound 0 = strict
+  // output commit: every batch is delivered at once with its packet held.
   SyncQueueOptions sync_queue;
   // Health watchdog: when health.enabled, degraded-mode entry/exit is
   // governed by the hysteretic failure detector in runtime/health.h
@@ -178,43 +180,50 @@ class OffloadedMiddlebox {
   // Delivers the entire coalesced sync backlog now (one control-plane
   // batch) and, if the delivery failed, rebuilds the switch from the host
   // store. After this returns the switch replica matches the host for every
-  // queued key. No-op in legacy inline-sync mode. Quiescence points (end of
-  // a run, table inspection) call this; the packet path never does.
+  // queued key. Strict mode leaves nothing queued, so there it only
+  // re-checks coherence. Quiescence points (end of a run, table inspection)
+  // call this; the packet path never does.
   void FlushSyncBacklog();
 
-  // Counters. All live on the metrics registry (one source of truth for
-  // --run output and exporters); the accessors below are thin
-  // reads kept for source compatibility with pre-telemetry callers. The
-  // two per-packet counters are batched like the op recorders: a plain
+  // This instance's registry instruments (labeled {mbox=<spec.name>} plus
+  // OffloadedOptions::extra_labels), e.g. counters().resyncs->Value(). The
+  // fault and recovery counters are all zero on a perfect substrate; the
+  // shed and backpressure counters stay zero in strict mode.
+  struct Counters {
+    telemetry::Counter* packets_total;
+    telemetry::Counter* packets_fast;
+    telemetry::Counter* cache_misses;
+    telemetry::Counter* sync_batches_sent;
+    telemetry::Counter* sync_retries;
+    telemetry::Counter* batches_dropped;
+    telemetry::Counter* acks_dropped;
+    telemetry::Counter* sync_failures;
+    telemetry::Counter* switch_restarts;
+    telemetry::Counter* degraded_packets;
+    telemetry::Counter* data_retries;
+    telemetry::Counter* resyncs;
+    telemetry::Counter* packets_shed;
+    telemetry::Counter* backpressure_events;
+    telemetry::Counter* backlog_pumps;
+    telemetry::Counter* probe_misses;
+    telemetry::Counter* unwatched_fallbacks;
+    telemetry::Histogram* sync_latency_us;
+    telemetry::Histogram* resync_latency_us;
+  };
+  const Counters& counters() const { return c_; }
+
+  // The two per-packet counts are batched like the op recorders: a plain
   // member is the live value (Process is serialized per instance) and
   // PublishSwitchStageMetrics pushes the delta onto the registry, keeping
-  // the packet hot path free of atomics.
+  // the packet hot path free of atomics. Read them here, not off counters().
   uint64_t packets_total() const { return packets_total_; }
   uint64_t packets_fast_path() const { return packets_fast_; }
-  uint64_t cache_miss_aborts() const { return c_.cache_misses->Value(); }
   double FastPathFraction() const {
     const uint64_t total = packets_total();
     return total == 0 ? 0.0
                       : static_cast<double>(packets_fast_path()) / total;
   }
 
-  // Fault / recovery counters (all zero on a perfect substrate).
-  uint64_t sync_batches_sent() const { return c_.sync_batches_sent->Value(); }
-  uint64_t sync_retries() const { return c_.sync_retries->Value(); }
-  uint64_t batches_dropped() const { return c_.batches_dropped->Value(); }
-  uint64_t acks_dropped() const { return c_.acks_dropped->Value(); }
-  uint64_t sync_failures() const { return c_.sync_failures->Value(); }
-  uint64_t switch_restarts() const { return c_.switch_restarts->Value(); }
-  uint64_t degraded_packets() const { return c_.degraded_packets->Value(); }
-  uint64_t data_retries() const { return c_.data_retries->Value(); }
-  uint64_t resyncs() const { return c_.resyncs->Value(); }
-
-  // Overload / watchdog counters (zero in legacy inline-sync mode).
-  uint64_t packets_shed() const { return c_.packets_shed->Value(); }
-  uint64_t backpressure_events() const {
-    return c_.backpressure_events->Value();
-  }
-  uint64_t backlog_pumps() const { return c_.backlog_pumps->Value(); }
   // The coalescing backlog itself — depth/peak/coalesced accounting.
   const CoalescingSyncQueue& sync_backlog() const { return sync_queue_; }
   // Null unless OffloadedOptions::health.enabled.
@@ -282,8 +291,10 @@ class OffloadedMiddlebox {
   state::FlowTable::SweepCursor aging_cursor_;
   ir::StateIndex aging_cursor_map_ = 0;
 
-  // Bounded coalescing control-plane backlog (empty/idle in legacy mode).
+  // Bounded coalescing control-plane backlog, and the one batch every
+  // delivery drains it into (reused, so a delivery keeps its capacity).
   CoalescingSyncQueue sync_queue_;
+  SyncBatch sync_batch_;
   uint64_t packets_since_pump_ = 0;
   // Hysteretic failure detector; null unless options_.health.enabled.
   std::unique_ptr<HealthWatchdog> watchdog_;
@@ -295,27 +306,6 @@ class OffloadedMiddlebox {
   // {mbox=<name>} plus OffloadedOptions::extra_labels — the label scope
   // every instrument of this instance registers under.
   telemetry::LabelSet scope_;
-  struct Counters {
-    telemetry::Counter* packets_total;
-    telemetry::Counter* packets_fast;
-    telemetry::Counter* cache_misses;
-    telemetry::Counter* sync_batches_sent;
-    telemetry::Counter* sync_retries;
-    telemetry::Counter* batches_dropped;
-    telemetry::Counter* acks_dropped;
-    telemetry::Counter* sync_failures;
-    telemetry::Counter* switch_restarts;
-    telemetry::Counter* degraded_packets;
-    telemetry::Counter* data_retries;
-    telemetry::Counter* resyncs;
-    telemetry::Counter* packets_shed;
-    telemetry::Counter* backpressure_events;
-    telemetry::Counter* backlog_pumps;
-    telemetry::Counter* probe_misses;
-    telemetry::Counter* unwatched_fallbacks;
-    telemetry::Histogram* sync_latency_us;
-    telemetry::Histogram* resync_latency_us;
-  };
   Counters c_{};
   telemetry::OpCountsRecorder switch_ops_;
   telemetry::OpCountsRecorder server_ops_;
@@ -356,18 +346,6 @@ class OffloadedMiddlebox {
   // `outcome` already carries the aborted pre attempt's accounting.
   void ProcessCacheMiss(net::Packet pkt, uint64_t now_ms, Outcome* outcome);
 
-  // The slow-path tail shared by Process and ProcessCacheMiss.
-  //
-  // Sync commit (§4.3.3): drains a queued backlog first (so an older queued
-  // write cannot land after these), then delivers `maps`/`globals` as one
-  // inline batch. Only when `holds_packet` (the packet's own mutations are in
-  // the batch, not just cache refreshes) does the packet wait on it: then the
-  // outcome records state_synced, sync_latency_us and the sync hop. Returns
-  // false with outcome->status set on failure.
-  bool CommitSync(
-      const std::vector<RecordingStateBackend::MapMutation>& maps,
-      const std::vector<RecordingStateBackend::GlobalMutation>& globals,
-      bool holds_packet, Outcome* outcome);
   // Return leg: packs the server pass's transfer values, crosses the
   // server -> switch link, runs the post pass, resolves the verdict (exactly
   // one of the server and post passes decides) and reconciles switch-written
@@ -386,25 +364,34 @@ class OffloadedMiddlebox {
   // a lossy pipe).
   Result<net::Packet> CrossLink(bool to_server, net::Packet pkt);
 
-  // Reliable control-plane client: sends the mutations as a SyncBatch and
-  // retries with bounded exponential backoff until acked. `committed` is
-  // false only when every attempt failed (the switch is then marked for
-  // resync). Returns the accumulated control-plane latency.
-  Result<double> SyncReplicated(
-      const std::vector<RecordingStateBackend::MapMutation>& maps,
-      const std::vector<RecordingStateBackend::GlobalMutation>& globals,
-      bool* committed);
+  // Reliable control-plane client: sends sync_batch_ and retries with
+  // bounded exponential backoff until acked. `committed` is false only when
+  // every attempt failed (the switch is then marked for resync). Returns the
+  // accumulated control-plane latency.
+  Result<double> SyncReplicated(bool* committed);
 
   // Full switch-state rebuild from the host store; returns modeled latency.
   // Drops the queued backlog first — the snapshot subsumes every pending
   // mutation (the host store already holds them).
   double ResyncSwitch();
 
-  // Drains the backlog into one coalesced SyncBatch and delivers it,
-  // feeding the delivery outcome to the watchdog as health evidence.
-  // Returns the control-plane latency via `latency_out` when non-null. A
-  // failed delivery marks the switch for resync, like the inline path.
-  Status PumpSyncBacklog(double* latency_out);
+  // Sync commit (§4.3.3), the one way a batch reaches the switch: drains the
+  // whole backlog into sync_batch_ and delivers it. `held` is the outcome of
+  // the packet that waits on this delivery (output commit): it records
+  // state_synced, sync_latency_us and the sync hop. Null = a pump, which
+  // records its flight event and feeds its outcome to the watchdog as health
+  // evidence. A failed delivery marks the switch for resync. Returns the
+  // control-plane latency (0 when nothing was queued).
+  Result<double> DeliverSyncBacklog(Outcome* held);
+
+  // Queues one batch of replicated-state mutations, then delivers the
+  // backlog at once unless the batch may wait: in queued mode, a batch
+  // without globals waits for the next pump (and `held`, if any, is marked
+  // sync_queued).
+  Status SubmitSync(
+      const std::vector<RecordingStateBackend::MapMutation>& maps,
+      const std::vector<RecordingStateBackend::GlobalMutation>& globals,
+      Outcome* held);
 
   // Heartbeat: one minimal control-plane round-trip, shaped (or eaten) by
   // the injector's active grey window, recorded into the watchdog.

@@ -13,16 +13,17 @@
 //
 // The queue is bounded. When an enqueue would exceed the bound the runtime
 // applies its overflow policy — backpressure (drain inline, blocking like
-// the legacy path) or ingress shedding (refuse the packet before it touches
-// state, explicitly accounted) — so an unreachable control plane degrades
-// into a measured, bounded backlog instead of an unbounded queue.
+// strict output commit) or ingress shedding (refuse the packet before it
+// touches state, explicitly accounted) — so an unreachable control plane
+// degrades into a measured, bounded backlog instead of an unbounded queue.
 //
-// Scope: only *map* mutations are deferrable. Their staleness is detectable
-// (a queued insert the switch has not seen is a table miss, and the miss
-// path recomputes on the server against the authoritative host store);
-// a replicated global's staleness is not (register reads have no miss
-// path), so the runtime keeps strict output commit for any batch that
-// carries a global mutation.
+// Every batch the switch receives is a drained backlog; strict mode is the
+// backlog delivered on every enqueue. Only *map* mutations may wait. Their
+// staleness is detectable (a queued insert the switch has not seen is a
+// table miss, and the miss path recomputes on the server against the
+// authoritative host store); a replicated global's staleness is not
+// (register reads have no miss path), so a batch that carries a global
+// mutation is delivered at once, the older backlog with it.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +35,8 @@
 namespace gallium::runtime {
 
 struct SyncQueueOptions {
-  // Queued batches the backlog may hold; 0 selects the legacy inline
-  // blocking sync path (no queue at all).
+  // Queued batches the backlog may hold; 0 selects strict output commit
+  // (every batch is delivered as soon as it is queued, its packet held).
   uint64_t max_backlog_batches = 0;
   // Deliver the coalesced backlog every this-many packets (1 = drain every
   // packet; larger values trade switch staleness for coalescing factor).

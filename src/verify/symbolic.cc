@@ -63,9 +63,10 @@ TermRef MakeAlu(ir::AluOp op, TermRef a, TermRef b) {
     const int mask_bits = LowMaskBits(b->value);
     if (mask_bits > 0 && a->max_bits > 0 && a->max_bits <= mask_bits) return a;
   }
-  // Ne(x, 0) is the identity on booleans.
+  // Ne(x, 0) is the identity on booleans and on any other one-bit term
+  // (e.g. And(x, 1)).
   if (op == ir::AluOp::kNe && b != nullptr && b->is_const() && b->value == 0 &&
-      a->is_bool) {
+      (a->is_bool || a->max_bits == 1)) {
     return a;
   }
   auto t = std::make_shared<Term>();

@@ -54,7 +54,7 @@ TEST(TableCache, EquivalentToBaselineUnderHeavyEviction) {
     }
   }
   // With 64 flows and 8 slots there must have been cache-miss recoveries.
-  EXPECT_GT((*offloaded)->cache_miss_aborts(), 0u);
+  EXPECT_GT((*offloaded)->counters().cache_misses->Value(), 0u);
   // The cache never exceeds its capacity.
   auto* table = (*offloaded)->device().table(0);
   ASSERT_NE(table, nullptr);
@@ -99,11 +99,11 @@ TEST(TableCache, HotFlowStaysOnFastPathAfterRefill) {
 
   // The hot flow now misses — but keeps its backend (server is
   // authoritative) and the cache refreshes so the next packet hits again.
-  const uint64_t misses_before = (*mbx)->cache_miss_aborts();
+  const uint64_t misses_before = (*mbx)->counters().cache_misses->Value();
   auto third = send_hot();
   ASSERT_TRUE(third.status.ok());
   EXPECT_FALSE(third.fast_path);
-  EXPECT_GT((*mbx)->cache_miss_aborts(), misses_before);
+  EXPECT_GT((*mbx)->counters().cache_misses->Value(), misses_before);
   EXPECT_EQ(third.out_packet.ip().daddr, first.out_packet.ip().daddr)
       << "affinity must survive eviction";
 
@@ -223,12 +223,13 @@ TEST(TableCache, LossyDataLinksStayEquivalentAndExactlyOnce) {
     for (const net::Packet& pkt : packets) {
       net::Packet sw_pkt = pkt;
       auto sw_out = software.Process(sw_pkt);
-      const uint64_t misses_before = (*mbx)->cache_miss_aborts();
+      const uint64_t misses_before = (*mbx)->counters().cache_misses->Value();
       auto off_out = (*mbx)->Process(pkt);
       // A cache-miss packet reaches the server pristine and crosses only
       // the return link; every other slow-path packet crosses both.
       if (!off_out.fast_path) {
-        crossings += (*mbx)->cache_miss_aborts() > misses_before ? 1 : 2;
+        crossings +=
+            (*mbx)->counters().cache_misses->Value() > misses_before ? 1 : 2;
       }
       ASSERT_TRUE(sw_out.status.ok());
       ASSERT_TRUE(off_out.status.ok()) << off_out.status.ToString();
@@ -239,14 +240,15 @@ TEST(TableCache, LossyDataLinksStayEquivalentAndExactlyOnce) {
       }
     }
     EXPECT_EQ((*mbx)->packets_total(), packets.size());
-    EXPECT_GT((*mbx)->cache_miss_aborts(), 0u);
-    EXPECT_GT((*mbx)->data_retries(), 0u) << "the links never lost a frame";
+    EXPECT_GT((*mbx)->counters().cache_misses->Value(), 0u);
+    EXPECT_GT((*mbx)->counters().data_retries->Value(), 0u)
+        << "the links never lost a frame";
     // Every crossing succeeded exactly once: the frames sent are one per
     // crossing plus one per retransmit.
     FaultInjector* injector = (*mbx)->injector();
     EXPECT_EQ(injector->to_server().frames_sent() +
                   injector->to_switch().frames_sent(),
-              crossings + (*mbx)->data_retries());
+              crossings + (*mbx)->counters().data_retries->Value());
 
     // Exactly-once: no sync batch was applied twice.
     std::set<uint64_t> applied;
@@ -325,7 +327,7 @@ TEST(TableCache, TraceAndOutcomeOpsReaggregateToRegistryTotals) {
   EXPECT_GT(committed_misses, 0);
   EXPECT_GT(refresh_only_misses, 0);
   EXPECT_EQ(static_cast<uint64_t>(committed_misses + refresh_only_misses),
-            (*mbx)->cache_miss_aborts());
+            (*mbx)->counters().cache_misses->Value());
   EXPECT_EQ(hop_switch, switch_total.Total());
   EXPECT_EQ(hop_server, server_total.Total());
 }
@@ -343,7 +345,7 @@ TEST(TableCache, DisabledModeUnaffected) {
   pkt.set_ingress_port(mbox::kPortInternal);
   auto out = (*mbx)->Process(pkt);
   ASSERT_TRUE(out.status.ok());
-  EXPECT_EQ((*mbx)->cache_miss_aborts(), 0u);
+  EXPECT_EQ((*mbx)->counters().cache_misses->Value(), 0u);
 }
 
 }  // namespace

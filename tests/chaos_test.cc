@@ -185,7 +185,7 @@ void RunOnePlan(const ChaosCase& param, uint64_t plan_seed,
         << "seq " << seq << " applied twice (second time in epoch " << epoch
         << ")";
     EXPECT_GE(seq, 1u);
-    EXPECT_LE(seq, (*offloaded)->sync_batches_sent());
+    EXPECT_LE(seq, (*offloaded)->counters().sync_batches_sent->Value());
   }
 
   // Zero lost replicated-state mutations: once the switch is brought back
@@ -193,8 +193,8 @@ void RunOnePlan(const ChaosCase& param, uint64_t plan_seed,
   (*offloaded)->EnsureSwitchCoherent();
   ExpectReplicatedStateMatchesHost(offloaded->get());
 
-  *restarts_seen += (*offloaded)->switch_restarts();
-  *degraded_seen += (*offloaded)->degraded_packets();
+  *restarts_seen += (*offloaded)->counters().switch_restarts->Value();
+  *degraded_seen += (*offloaded)->counters().degraded_packets->Value();
 }
 
 class ChaosTest : public ::testing::TestWithParam<ChaosCase> {};
@@ -365,8 +365,8 @@ void RunOneSoak(const ChaosCase& param, uint64_t plan_seed, bool overload,
   }
   ExpectReplicatedStateMatchesHost(box);
 
-  totals->shed += box->packets_shed();
-  totals->backpressure += box->backpressure_events();
+  totals->shed += box->counters().packets_shed->Value();
+  totals->backpressure += box->counters().backpressure_events->Value();
   totals->enqueued += box->sync_backlog().enqueued_mutations();
   totals->transitions += dog->transitions();
   for (const auto& [ref, placement] : box->plan().state_placement) {
@@ -660,8 +660,8 @@ TEST(SwitchRestart, WipesStateAndResyncRestoresFromHost) {
   // The heartbeat notices the epoch bump and rebuilds every resident table
   // from the authoritative host store.
   (*mbx)->EnsureSwitchCoherent();
-  EXPECT_EQ((*mbx)->switch_restarts(), 1u);
-  EXPECT_EQ((*mbx)->resyncs(), 1u);
+  EXPECT_EQ((*mbx)->counters().switch_restarts->Value(), 1u);
+  EXPECT_EQ((*mbx)->counters().resyncs->Value(), 1u);
   const auto& plan_state = (*mbx)->plan();
   for (const auto& [ref, placement] : plan_state.state_placement) {
     if (placement != partition::StatePlacement::kReplicated ||

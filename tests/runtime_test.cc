@@ -8,6 +8,7 @@
 #include "mbox/middleboxes.h"
 #include "runtime/offloaded_middlebox.h"
 #include "runtime/software_middlebox.h"
+#include "workload/churn.h"
 #include "workload/packet_gen.h"
 
 namespace gallium::runtime {
@@ -280,7 +281,7 @@ TEST(Offloaded, IdleFlowCollectionOnEmptyMapIsNoOp) {
   auto mbx = OffloadedMiddlebox::Create(*spec);
   ASSERT_TRUE(mbx.ok());
 
-  const uint64_t batches_before = (*mbx)->sync_batches_sent();
+  const uint64_t batches_before = (*mbx)->counters().sync_batches_sent->Value();
   auto collected = (*mbx)->CollectIdleFlows(spec->MapIndex("flows"),
                                             spec->MapIndex("flow_created"),
                                             /*now_ms=*/310000,
@@ -288,7 +289,7 @@ TEST(Offloaded, IdleFlowCollectionOnEmptyMapIsNoOp) {
   ASSERT_TRUE(collected.ok());
   EXPECT_EQ(*collected, 0);
   // Nothing expired => no sync batch crosses the control plane.
-  EXPECT_EQ((*mbx)->sync_batches_sent(), batches_before);
+  EXPECT_EQ((*mbx)->counters().sync_batches_sent->Value(), batches_before);
 }
 
 TEST(Offloaded, IdleFlowCollectionExpiresEverything) {
@@ -443,6 +444,161 @@ TEST(Offloaded, InlineCommitLandsAfterOlderQueuedWrites) {
   EXPECT_EQ(replica, host) << "an older queued write overtook the inline batch";
 }
 
+// A batch carrying a global is delivered at once, and the older backlog
+// travels with it in the same atomic batch: one control-plane batch, not a
+// drain of the backlog followed by the packet's own batch.
+TEST(Offloaded, GlobalBatchTakesTheBacklogInOneDelivery) {
+  auto spec = BuildQueuedAndInlineWriter();
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const ir::StateIndex ports = spec->MapIndex("ports");
+  OffloadedOptions options;
+  options.sync_queue.max_backlog_batches = 64;
+  options.sync_queue.pump_interval_packets = 1000;  // never pumps on its own
+  auto mbx = OffloadedMiddlebox::Create(*spec, options);
+  ASSERT_TRUE(mbx.ok()) << mbx.status().ToString();
+
+  for (uint16_t dport : {80, 81}) {
+    auto queued = (*mbx)->Process(PortsPacket(mbox::kPortInternal, 1, dport));
+    ASSERT_TRUE(queued.status.ok()) << queued.status.ToString();
+    ASSERT_TRUE(queued.sync_queued);
+  }
+  ASSERT_EQ((*mbx)->sync_backlog().depth(), 2u);
+  const auto& counters = (*mbx)->counters();
+  const uint64_t batches_before = counters.sync_batches_sent->Value();
+  auto commit = (*mbx)->Process(PortsPacket(mbox::kPortExternal, 2, 82));
+  ASSERT_TRUE(commit.status.ok()) << commit.status.ToString();
+  EXPECT_TRUE(commit.state_synced);
+  EXPECT_EQ(counters.sync_batches_sent->Value(), batches_before + 1);
+  EXPECT_EQ(counters.backlog_pumps->Value(), 0u);
+  EXPECT_TRUE((*mbx)->sync_backlog().empty());
+
+  // The one batch left the replica equal to the host store.
+  const auto host = (*mbx)->server_state().map_contents(ports);
+  ASSERT_EQ(host.size(), 3u);
+  ASSERT_EQ((*mbx)->device().table(ports)->size(), host.size());
+  for (const auto& [key, value] : host) {
+    switchsim::TableValue replica;
+    ASSERT_TRUE((*mbx)->device().table(ports)->Lookup(key, &replica));
+    EXPECT_EQ(replica, value);
+  }
+  const ir::StateIndex counter = 0;  // the writer's only global
+  EXPECT_EQ((*mbx)->device().data_plane().GlobalRead(counter),
+            (*mbx)->server_state().GlobalRead(counter));
+}
+
+// What one run of a trace left behind: each packet's verdict and emitted
+// bytes, and the state on both sides after the backlog is flushed.
+struct PolicyRun {
+  std::vector<Verdict> verdicts;
+  std::vector<std::vector<uint8_t>> emitted;
+  std::vector<std::map<StateKey, StateValue>> host_maps;
+  std::vector<uint64_t> host_globals;
+  // Per replicated map: the switch table probed at every host key, and the
+  // table's size (equal to the host's iff the probe saw every entry).
+  std::vector<std::map<StateKey, StateValue>> switch_maps;
+  std::vector<size_t> switch_sizes;
+  std::vector<uint64_t> switch_globals;
+};
+
+PolicyRun RunUnderPolicy(const mbox::MiddleboxSpec& spec,
+                         const std::vector<net::Packet>& trace,
+                         const SyncQueueOptions& policy) {
+  PolicyRun run;
+  OffloadedOptions options;
+  options.sync_queue = policy;
+  auto mbx = OffloadedMiddlebox::Create(spec, options);
+  EXPECT_TRUE(mbx.ok()) << mbx.status().ToString();
+  if (!mbx.ok()) return run;
+  uint64_t now_ms = 0;
+  for (const net::Packet& pkt : trace) {
+    auto out = (*mbx)->Process(pkt, ++now_ms);
+    EXPECT_TRUE(out.status.ok()) << out.status.ToString();
+    EXPECT_FALSE(out.shed);
+    run.verdicts.push_back(out.verdict);
+    run.emitted.push_back(out.verdict.kind == Verdict::Kind::kSend
+                              ? out.out_packet.Serialize()
+                              : std::vector<uint8_t>{});
+  }
+  (*mbx)->FlushSyncBacklog();
+
+  const ir::Function& fn = (*mbx)->fn();
+  switchsim::Switch& device = (*mbx)->device();
+  for (ir::StateIndex m = 0; m < fn.maps().size(); ++m) {
+    run.host_maps.push_back((*mbx)->server_state().map_contents(m));
+    const switchsim::ExactMatchTable* table = device.table(m);
+    if (table == nullptr) continue;
+    std::map<StateKey, StateValue> probed;
+    for (const auto& [key, value] : run.host_maps.back()) {
+      switchsim::TableValue replica;
+      if (table->Lookup(key, &replica)) probed[key] = replica;
+    }
+    run.switch_maps.push_back(std::move(probed));
+    run.switch_sizes.push_back(table->size());
+  }
+  for (ir::StateIndex g = 0; g < fn.globals().size(); ++g) {
+    run.host_globals.push_back((*mbx)->server_state().GlobalRead(g));
+    if (device.IsResident({ir::StateRef::Kind::kGlobal, g})) {
+      run.switch_globals.push_back(device.data_plane().GlobalRead(g));
+    }
+  }
+  std::set<uint64_t> applied;
+  for (const auto& [epoch, seq] : device.applied_log()) {
+    EXPECT_TRUE(applied.insert(seq).second) << "sync seq " << seq
+                                            << " applied twice";
+  }
+  return run;
+}
+
+// Strict commit, a backlog pumped every packet and a deep backpressure
+// backlog reach the same verdicts, bytes and state on both sides: the sync
+// policy only decides when the switch sees a batch, never what it sees.
+TEST(Offloaded, EverySyncPolicyGivesTheSameResult) {
+  SyncQueueOptions strict;
+  SyncQueueOptions every_packet;
+  every_packet.max_backlog_batches = 1;
+  every_packet.pump_interval_packets = 1;
+  SyncQueueOptions deep;
+  deep.max_backlog_batches = 64;
+  deep.pump_interval_packets = 32;
+  deep.overflow = SyncQueueOptions::OverflowPolicy::kBackpressure;
+
+  const std::pair<const char*, Result<mbox::MiddleboxSpec> (*)()> programs[] =
+      {{"nat", &mbox::BuildMazuNat},
+       {"lb", [] { return mbox::BuildLoadBalancer(); }},
+       {"trojan", &mbox::BuildTrojanDetector}};
+  for (const auto& [name, build] : programs) {
+    SCOPED_TRACE(name);
+    auto spec = build();
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    Rng rng(4242);
+    workload::ChurnOptions churn;
+    churn.num_packets = 600;
+    churn.established_flows = 16;
+    churn.burst_period = 200;
+    churn.burst_len = 40;
+    churn.ingress_port = mbox::kPortInternal;
+    const auto trace = workload::MakeChurnTrace(rng, churn).packets;
+
+    const PolicyRun want = RunUnderPolicy(*spec, trace, strict);
+    ASSERT_EQ(want.verdicts.size(), trace.size());
+    for (size_t m = 0; m < want.switch_maps.size(); ++m) {
+      EXPECT_EQ(want.switch_sizes[m], want.switch_maps[m].size());
+    }
+    for (const SyncQueueOptions& policy : {every_packet, deep}) {
+      SCOPED_TRACE("max_backlog_batches=" +
+                   std::to_string(policy.max_backlog_batches));
+      const PolicyRun got = RunUnderPolicy(*spec, trace, policy);
+      EXPECT_EQ(got.verdicts, want.verdicts);
+      EXPECT_EQ(got.emitted, want.emitted);
+      EXPECT_EQ(got.host_maps, want.host_maps);
+      EXPECT_EQ(got.host_globals, want.host_globals);
+      EXPECT_EQ(got.switch_maps, want.switch_maps);
+      EXPECT_EQ(got.switch_sizes, want.switch_sizes);
+      EXPECT_EQ(got.switch_globals, want.switch_globals);
+    }
+  }
+}
+
 // A flow map on the switch plus a register the switch alone writes: every
 // new flow records its source port there. Nothing reads the register, so
 // the plan keeps it switch-only and the host copy lags until reconciled.
@@ -510,7 +666,7 @@ TEST(Offloaded, DegradedModeContinuesFromSlowPathSwitchGlobal) {
           << "packet " << i << ": the resync restored a stale register";
     }
   }
-  EXPECT_EQ((*mbx)->resyncs(), 1u);
+  EXPECT_EQ((*mbx)->counters().resyncs->Value(), 1u);
 }
 
 TEST(Offloaded, FailedReturnLinkResyncsOnTheNextPacket) {
@@ -528,14 +684,14 @@ TEST(Offloaded, FailedReturnLinkResyncsOnTheNextPacket) {
   net::Packet pkt = PortsPacket(mbox::kPortInternal, 5, 6);
   auto lost = (*mbx)->Process(pkt);
   ASSERT_FALSE(lost.status.ok()) << "the return leg exhausted its attempts";
-  EXPECT_EQ((*mbx)->data_retries(), 3u);
-  EXPECT_EQ((*mbx)->resyncs(), 0u);
+  EXPECT_EQ((*mbx)->counters().data_retries->Value(), 3u);
+  EXPECT_EQ((*mbx)->counters().resyncs->Value(), 0u);
 
   // The same flow again: the switch is rebuilt from the host store before
   // the pre pass, and the flow then stays on the switch.
   auto next = (*mbx)->Process(pkt);
   ASSERT_TRUE(next.status.ok()) << next.status.ToString();
-  EXPECT_EQ((*mbx)->resyncs(), 1u);
+  EXPECT_EQ((*mbx)->counters().resyncs->Value(), 1u);
   EXPECT_TRUE(next.fast_path);
   EXPECT_EQ((*mbx)->device().table(map)->size(),
             (*mbx)->server_state().MapSize(map));

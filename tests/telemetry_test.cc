@@ -585,7 +585,7 @@ TEST(Metrics, InjectedRegistryReceivesRuntimeCounters) {
   ASSERT_TRUE((*mbx)->Process(syn).status.ok());
 
   EXPECT_EQ((*mbx)->packets_total(), 1u);
-  EXPECT_EQ((*mbx)->sync_batches_sent(), 1u);
+  EXPECT_EQ((*mbx)->counters().sync_batches_sent->Value(), 1u);
   EXPECT_EQ(&(*mbx)->metrics(), &registry);
   // Per-packet counts are batched locally; the scrape point below pushes
   // them onto the registry (galliumc does the same before exporting).

@@ -12,6 +12,7 @@
 #include "ir/builder.h"
 #include "ir/verifier.h"
 #include "mbox/middleboxes.h"
+#include "program_generator.h"
 #include "p4/codegen.h"
 #include "rmt/feedback.h"
 #include "rmt/target.h"
@@ -75,6 +76,21 @@ TEST(Symbolic, ConstantFoldingAndNormalization) {
   EXPECT_FALSE(SameTerm(cmp, MakeAlu(ir::AluOp::kEq, x, MakeConst(6))));
 }
 
+TEST(Symbolic, NeZeroIsIdentityOnOneBitTerms) {
+  using namespace verify;
+  auto x = MakeInput("hdr.ip_src", 32);
+  // And(x, 1) holds one bit without being a comparison: (ne (and x 1) 0)
+  // is (and x 1) itself.
+  auto low = MakeAlu(ir::AluOp::kAnd, x, MakeConst(1));
+  ASSERT_FALSE(low->is_bool);
+  ASSERT_EQ(low->max_bits, 1);
+  EXPECT_TRUE(SameTerm(MakeAlu(ir::AluOp::kNe, low, MakeConst(0)), low));
+  EXPECT_TRUE(SameTerm(Truthy(low), low));
+  // A two-bit term keeps its comparison.
+  auto two = MakeAlu(ir::AluOp::kAnd, x, MakeConst(3));
+  EXPECT_FALSE(SameTerm(MakeAlu(ir::AluOp::kNe, two, MakeConst(0)), two));
+}
+
 TEST(Symbolic, SolverFindsWitnessAndRespectsConstraints) {
   using namespace verify;
   auto x = MakeInput("hdr.src_port", 16);
@@ -105,6 +121,23 @@ TEST(Validator, PaperMiddleboxesValidateUnderDefaultProfile) {
         verify::ValidateTranslation(*spec.fn, *plan);
     EXPECT_TRUE(result.equivalent) << spec.name << "\n" << result.Summary();
     EXPECT_GT(result.paths_checked, 0) << spec.name;
+  }
+}
+
+// Generated programs whose plans compare a composed (ne (and ... #1) #0)
+// with the original (and ... #1): the same one-bit value.
+TEST(Validator, NoFalseAlarmOnOneBitMaskTerms) {
+  const core::Compiler compiler;
+  for (uint64_t seed : {7567672623637554804ull, 3887694398031615970ull}) {
+    SCOPED_TRACE(seed);
+    auto spec = testing::ProgramGenerator(seed).Generate();
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    auto compiled = compiler.Compile(*spec->fn);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    const verify::ValidationResult result =
+        verify::ValidateTranslation(*spec->fn, compiled->plan);
+    EXPECT_TRUE(result.equivalent) << result.Summary();
+    EXPECT_GT(result.paths_checked, 0);
   }
 }
 

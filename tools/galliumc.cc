@@ -408,23 +408,21 @@ int RunTraffic(const mbox::MiddleboxSpec& spec, int num_packets,
 
   std::printf("  run: %d packets  fast-path %.1f%%  degraded %d  errors %d\n",
               processed, 100.0 * (*mbx)->FastPathFraction(), degraded, errors);
+  const auto& c = (*mbx)->counters();
+  const auto n = [](const telemetry::Counter* counter) {
+    return static_cast<unsigned long long>(counter->Value());
+  };
   std::printf(
       "  sync: batches=%llu retries=%llu batch-drops=%llu ack-drops=%llu "
       "failures=%llu mean-commit=%.1fus\n",
-      static_cast<unsigned long long>((*mbx)->sync_batches_sent()),
-      static_cast<unsigned long long>((*mbx)->sync_retries()),
-      static_cast<unsigned long long>((*mbx)->batches_dropped()),
-      static_cast<unsigned long long>((*mbx)->acks_dropped()),
-      static_cast<unsigned long long>((*mbx)->sync_failures()),
+      n(c.sync_batches_sent), n(c.sync_retries), n(c.batches_dropped),
+      n(c.acks_dropped), n(c.sync_failures),
       synced == 0 ? 0.0 : sync_latency_total / synced);
   std::printf(
       "  recovery: data-retries=%llu switch-restarts=%llu resyncs=%llu "
       "degraded-packets=%llu cache-misses=%llu\n",
-      static_cast<unsigned long long>((*mbx)->data_retries()),
-      static_cast<unsigned long long>((*mbx)->switch_restarts()),
-      static_cast<unsigned long long>((*mbx)->resyncs()),
-      static_cast<unsigned long long>((*mbx)->degraded_packets()),
-      static_cast<unsigned long long>((*mbx)->cache_miss_aborts()));
+      n(c.data_retries), n(c.switch_restarts), n(c.resyncs),
+      n(c.degraded_packets), n(c.cache_misses));
   if (sync_queue.enabled()) {
     const auto& backlog = (*mbx)->sync_backlog();
     std::printf(
@@ -433,9 +431,7 @@ int RunTraffic(const mbox::MiddleboxSpec& spec, int num_packets,
         static_cast<unsigned long long>(backlog.peak_depth()),
         static_cast<unsigned long long>(backlog.enqueued_mutations()),
         static_cast<unsigned long long>(backlog.coalesced_mutations()),
-        static_cast<unsigned long long>((*mbx)->backlog_pumps()),
-        static_cast<unsigned long long>((*mbx)->packets_shed()),
-        static_cast<unsigned long long>((*mbx)->backpressure_events()));
+        n(c.backlog_pumps), n(c.packets_shed), n(c.backpressure_events));
   }
   if (const auto* dog = (*mbx)->watchdog(); dog != nullptr) {
     std::printf(
